@@ -79,11 +79,11 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 /// the backend wants to hoist out of the bands:
 ///
 /// * `dense` — a densified copy of the call's sparse operand map
-///   (channel-major `C × H × W`; the simd engine's row sweeps read it),
+///   (channel-major `C × H × W`; the simd engine's forward sweeps read it),
 /// * `patches` / `patch_len` / `dense_rows` — the im2row engine's blocked
 ///   receptive-field patch matrix plus its per-output-row classification,
-/// * `ext` — an arbitrary payload for backends registered outside this
-///   crate.
+/// * `ext` — an arbitrary typed payload (the simd engine's GTW operands,
+///   or state of backends registered outside this crate).
 ///
 /// The scalar reference needs no preparation and returns an empty context;
 /// band workers must treat an empty context as "prepare locally or fall
@@ -153,8 +153,7 @@ impl BandContext {
         &self.dense_rows
     }
 
-    /// Attaches an engine-specific payload (for backends outside this
-    /// crate).
+    /// Attaches an engine-specific payload.
     pub fn set_ext<T: std::any::Any + Send + Sync>(&mut self, value: T) {
         self.ext = Some(Box::new(value));
     }
@@ -584,7 +583,7 @@ fn check_forward(
     assert_eq!(out.shape(), (f, oh, ow), "output tensor shape mismatch");
 }
 
-fn check_input_grad(
+pub(crate) fn check_input_grad(
     dout: &SparseFeatureMap,
     weights: &Tensor4,
     geom: ConvGeometry,
@@ -600,7 +599,12 @@ fn check_input_grad(
     assert_eq!(masks.len(), c * in_h, "need one mask per (channel, input row)");
 }
 
-fn check_weight_grad(input: &SparseFeatureMap, dout: &SparseFeatureMap, geom: ConvGeometry, dw: &Tensor4) {
+pub(crate) fn check_weight_grad(
+    input: &SparseFeatureMap,
+    dout: &SparseFeatureMap,
+    geom: ConvGeometry,
+    dw: &Tensor4,
+) {
     assert_eq!(dout.height(), geom.output_extent(input.height()));
     assert_eq!(dout.width(), geom.output_extent(input.width()));
     assert_eq!(

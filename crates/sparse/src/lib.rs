@@ -54,8 +54,10 @@
 //!   so every element keeps the scalar per-element accumulation order and
 //!   the engine stays bitwise identical to the reference. Runtime
 //!   dispatch picks x86_64 AVX2+FMA intrinsics when the CPU reports them
-//!   and a portable `[f32; 8]` lane-blocked path otherwise; rows too
-//!   sparse to densify, strides ≠ 1 on the row sweeps, and `-0.0` biases
+//!   and a portable `[f32; 8]` lane-blocked path otherwise. The backward
+//!   kernels sweep lanes across channels (GTA) and patch rows (GTW) at any
+//!   stride, with work proportional to the gradient's non-zeros; forward
+//!   rows too sparse to densify, forward strides ≠ 1, and `-0.0` seeds
 //!   fall back to the scalar code itself.
 //! * [`im2row_engine::Im2RowEngine`] — the cache-blocked dense lowering
 //!   for dense early layers: receptive fields are materialized once per

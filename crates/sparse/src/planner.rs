@@ -106,10 +106,20 @@ pub const CANDIDATE_NAMES: [&str; 6] = [
     "parallel:im2row",
 ];
 
-/// Resolves [`CANDIDATE_NAMES`] to handles.
+/// Resolves [`CANDIDATE_NAMES`] to handles for the current rayon pool.
+/// With one worker the three `parallel*` compositions are left out: each
+/// would run its inner engine in a single band plus fork-join overhead,
+/// and racing identical code against itself only makes the frozen plan
+/// flip between runs.
 pub fn candidates() -> Vec<EngineHandle> {
+    candidates_for_threads(rayon::current_num_threads())
+}
+
+/// [`candidates`] for a pool of `threads` workers.
+pub(crate) fn candidates_for_threads(threads: usize) -> Vec<EngineHandle> {
     CANDIDATE_NAMES
         .iter()
+        .filter(|name| threads > 1 || !name.starts_with("parallel"))
         .map(|name| lookup(name).expect("candidate engines are always registered"))
         .collect()
 }
@@ -616,16 +626,33 @@ mod tests {
 
     #[test]
     fn candidates_exclude_fixed_point_engines() {
-        let set = candidates();
-        assert_eq!(set.len(), CANDIDATE_NAMES.len());
-        for h in &set {
-            assert!(
-                !h.name().starts_with("fixed"),
-                "{} would change numerics",
-                h.name()
-            );
-            assert_ne!(h.name(), "auto", "auto must not probe itself");
+        for threads in [1, 4] {
+            for h in &candidates_for_threads(threads) {
+                assert!(
+                    !h.name().starts_with("fixed"),
+                    "{} would change numerics",
+                    h.name()
+                );
+                assert_ne!(h.name(), "auto", "auto must not probe itself");
+            }
         }
+    }
+
+    #[test]
+    fn candidates_follow_the_thread_count() {
+        let names = |threads| {
+            candidates_for_threads(threads)
+                .iter()
+                .map(|h| h.name())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(1), ["scalar", "simd", "im2row"]);
+        assert_eq!(names(4), CANDIDATE_NAMES);
+        assert_eq!(
+            candidates().len(),
+            names(rayon::current_num_threads()).len(),
+            "the planner races the current pool's set"
+        );
     }
 
     #[test]

@@ -36,15 +36,60 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 const H: usize = 6;
 const W: usize = 7;
 
-fn arb_feature_map(channels: usize) -> impl Strategy<Value = SparseFeatureMap> {
+/// `len` raw map values, 55 % of them zero.
+fn arb_values(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(
         prop_oneof![
             55u32 => Just(0.0f32),
             45u32 => (-2.0f32..2.0).prop_filter("non-zero", |v| *v != 0.0),
         ],
-        channels * H * W,
+        len,
     )
-    .prop_map(move |data| SparseFeatureMap::from_tensor(&Tensor3::from_vec(channels, H, W, data)))
+}
+
+fn arb_feature_map(channels: usize) -> impl Strategy<Value = SparseFeatureMap> {
+    arb_values(channels * H * W)
+        .prop_map(move |data| SparseFeatureMap::from_tensor(&Tensor3::from_vec(channels, H, W, data)))
+}
+
+/// Raw values for up to `max_len` maps of `channels × (H + 2) × (W + 2)` —
+/// room for the largest output [`arb_geom`] can draw (K = 1, pad 1). A test
+/// cuts each sample to its drawn geometry with [`map_of`].
+fn arb_raw_batch(channels: usize, max_len: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    proptest::collection::vec(arb_values(channels * (H + 2) * (W + 2)), 1..=max_len)
+}
+
+/// A `channels × h × w` map from the leading values of `raw`.
+fn map_of(channels: usize, h: usize, w: usize, raw: &[f32]) -> SparseFeatureMap {
+    SparseFeatureMap::from_tensor(&Tensor3::from_vec(
+        channels,
+        h,
+        w,
+        raw[..channels * h * w].to_vec(),
+    ))
+}
+
+/// `f × c × k × k` weights from the leading values of `raw` (drawn for
+/// k = 3, the largest [`arb_geom`] kernel).
+fn weights_of(f: usize, c: usize, k: usize, raw: &[f32]) -> Tensor4 {
+    Tensor4::from_vec(f, c, k, k, raw[..f * c * k * k].to_vec())
+}
+
+/// Pre-seeds an accumulator: 0 leaves it zero, 1 writes non-zero values
+/// (and some `+0.0`), 2 mixes literal `-0.0` with non-zero values.
+fn preseed(kind: u8, acc: &mut [f32]) {
+    for (i, v) in acc.iter_mut().enumerate() {
+        *v = match kind {
+            0 => 0.0,
+            1 => 0.25 * (i % 5) as f32 - 0.5,
+            _ if i % 3 == 0 => -0.0,
+            _ => 0.375,
+        };
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 fn arb_batch(channels: usize, max_len: usize) -> impl Strategy<Value = Vec<SparseFeatureMap>> {
@@ -153,50 +198,76 @@ proptest! {
     }
 
     /// Batched GTA: bitwise-identical to per-sample execution on every
-    /// registered engine, under arbitrary per-sample masks.
+    /// registered engine — and for the float engines to the scalar
+    /// reference — at every kernel size, stride and pad, under arbitrary
+    /// per-sample masks and zero, non-zero or `-0.0` pre-seeded
+    /// accumulators (compared bit for bit, so a flipped zero sign fails).
     #[test]
     fn input_grad_batch_parity_all_engines(
-        douts in arb_batch(4, 4),
+        geom in arb_geom(),
+        raw_douts in arb_raw_batch(4, 4),
         mask_srcs in arb_batch(3, 4),
-        weights in arb_weights(4, 3, 3),
+        raw_weights in proptest::collection::vec(-1.5f32..1.5, 4 * 3 * 9),
+        seed in 0u8..3,
     ) {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let n = douts.len().min(mask_srcs.len());
-        let douts = &douts[..n];
+        let (oh, ow) = (geom.output_extent(H), geom.output_extent(W));
+        let n = raw_douts.len().min(mask_srcs.len());
+        let douts: Vec<_> = raw_douts[..n].iter().map(|raw| map_of(4, oh, ow, raw)).collect();
         let masks: Vec<_> = mask_srcs[..n].iter().map(SparseFeatureMap::masks).collect();
+        let weights = weights_of(4, 3, geom.kernel, &raw_weights);
+        let mut seeded = Tensor3::zeros(3, H, W);
+        preseed(seed, seeded.as_mut_slice());
         for handle in engines_under_test() {
             let engine = handle.engine();
-            let batched = engine.input_grad_batch(douts, &weights, geom, H, W, &masks);
+            let mut batched = vec![seeded.clone(); n];
+            engine.input_grad_batch_into(&douts, &weights, geom, &masks, &mut batched);
             for ((dout, mask), got) in douts.iter().zip(&masks).zip(&batched) {
-                let per_sample = engine.input_grad(dout, &weights, geom, H, W, mask);
-                prop_assert_eq!(got.as_slice(), per_sample.as_slice(), "engine {}", handle.name());
-                if handle.name() != "fixed" {
-                    let reference = ScalarEngine.input_grad(dout, &weights, geom, H, W, mask);
-                    prop_assert_eq!(got.as_slice(), reference.as_slice(), "engine {}", handle.name());
+                let mut per_sample = seeded.clone();
+                engine.input_grad_into(dout, &weights, geom, mask, &mut per_sample);
+                prop_assert_eq!(bits(got.as_slice()), bits(per_sample.as_slice()), "engine {}", handle.name());
+                if !handle.name().starts_with("fixed") {
+                    let mut reference = seeded.clone();
+                    ScalarEngine.input_grad_into(dout, &weights, geom, mask, &mut reference);
+                    prop_assert_eq!(bits(got.as_slice()), bits(reference.as_slice()), "engine {}", handle.name());
                 }
             }
         }
     }
 
     /// Batched GTW: the shared batch accumulator is bitwise-identical to
-    /// accumulating sample by sample on every registered engine.
+    /// accumulating sample by sample on every registered engine — and for
+    /// the float engines to the scalar reference — at every kernel size,
+    /// stride and pad, from zero, non-zero or `-0.0` pre-seeded
+    /// accumulators.
     #[test]
     fn weight_grad_batch_parity_all_engines(
+        geom in arb_geom(),
         inputs in arb_batch(2, 4),
-        douts in arb_batch(3, 4),
+        raw_douts in arb_raw_batch(3, 4),
+        seed in 0u8..3,
     ) {
-        let geom = ConvGeometry::new(3, 1, 1);
-        let n = inputs.len().min(douts.len());
-        let (inputs, douts) = (&inputs[..n], &douts[..n]);
+        let (oh, ow) = (geom.output_extent(H), geom.output_extent(W));
+        let n = inputs.len().min(raw_douts.len());
+        let inputs = &inputs[..n];
+        let douts: Vec<_> = raw_douts[..n].iter().map(|raw| map_of(3, oh, ow, raw)).collect();
+        let mut seeded = Tensor4::zeros(3, 2, geom.kernel, geom.kernel);
+        preseed(seed, seeded.as_mut_slice());
+        let mut reference = seeded.clone();
+        for (input, dout) in inputs.iter().zip(&douts) {
+            ScalarEngine.weight_grad_into(input, dout, geom, &mut reference);
+        }
         for handle in engines_under_test() {
             let engine = handle.engine();
-            let mut batched = Tensor4::zeros(3, 2, 3, 3);
-            engine.weight_grad_batch_into(inputs, douts, geom, &mut batched);
-            let mut per_sample = Tensor4::zeros(3, 2, 3, 3);
-            for (input, dout) in inputs.iter().zip(douts) {
+            let mut batched = seeded.clone();
+            engine.weight_grad_batch_into(inputs, &douts, geom, &mut batched);
+            let mut per_sample = seeded.clone();
+            for (input, dout) in inputs.iter().zip(&douts) {
                 engine.weight_grad_into(input, dout, geom, &mut per_sample);
             }
-            prop_assert_eq!(batched.as_slice(), per_sample.as_slice(), "engine {}", handle.name());
+            prop_assert_eq!(bits(batched.as_slice()), bits(per_sample.as_slice()), "engine {}", handle.name());
+            if !handle.name().starts_with("fixed") {
+                prop_assert_eq!(bits(batched.as_slice()), bits(reference.as_slice()), "engine {}", handle.name());
+            }
         }
     }
 
