@@ -39,8 +39,7 @@ const PHILOX_W: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Number of Philox rounds; 10 is the full-strength Random123 default.
 const PHILOX_ROUNDS: u32 = 10;
 
-/// The Weyl key schedule `kᵣ = key + r·W`: counter-independent, so bulk
-/// consumers fold it once per run of draws.
+/// The Weyl key schedule `kᵣ = key + r·W`.
 #[inline]
 const fn philox_round_keys(key: u64) -> [u64; PHILOX_ROUNDS as usize] {
     let mut keys = [0u64; PHILOX_ROUNDS as usize];
@@ -55,9 +54,7 @@ const fn philox_round_keys(key: u64) -> [u64; PHILOX_ROUNDS as usize] {
 }
 
 /// The Philox 2×64 round core: encrypts the 128-bit counter `(x0, x1)`
-/// under pre-folded round keys and returns both output words. The single
-/// source of the round arithmetic, shared by [`philox2x64`] and
-/// [`StreamKey::fill_uniform_at`].
+/// under pre-folded round keys and returns both output words.
 #[inline]
 const fn philox_block(round_keys: &[u64; PHILOX_ROUNDS as usize], mut x0: u64, mut x1: u64) -> (u64, u64) {
     let mut round = 0;
@@ -146,22 +143,6 @@ impl StreamKey {
     /// mantissa bits, like `Rng::gen::<f64>()`).
     pub const fn uniform_at(self, offset: u64) -> f64 {
         (self.word_at(offset) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fills `out[i]` with the uniform draw at position
-    /// `offset.wrapping_add(i)`, each bitwise equal to
-    /// `uniform_at(offset + i) as f32` (pinned by the stability goldens).
-    ///
-    /// Philox's per-round keys `kᵣ = key + r·W` do not depend on the
-    /// counter, so a run of consecutive draws folds the key schedule
-    /// **once** instead of once per element — the amortization the bulk
-    /// consumers (stochastic pruning's snap/zero pass) draw through.
-    pub fn fill_uniform_at(&self, offset: u64, out: &mut [f32]) {
-        let round_keys = philox_round_keys(self.key);
-        for (i, draw) in out.iter_mut().enumerate() {
-            let (word, _) = philox_block(&round_keys, offset.wrapping_add(i as u64), 0);
-            *draw = ((word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) as f32;
-        }
     }
 
     /// A sequential [`RngCore`] view of this stream starting at `offset` —
@@ -329,24 +310,6 @@ mod tests {
         ];
         for (i, (got, want)) in cases.iter().enumerate() {
             assert_eq!(got, want, "golden {i}: got {got:#018X}, want {want:#018X}");
-        }
-
-        // The bulk fill is pinned to the per-element ladder: every filled
-        // draw must be bitwise `uniform_at` rounded to f32, for fresh,
-        // derived and named keys, at plain and counter-wrapping offsets.
-        for key in [root, derived, named] {
-            for offset in [0u64, 1, 12_345, u64::MAX - 3] {
-                let mut buf = [0.0f32; 19];
-                key.fill_uniform_at(offset, &mut buf);
-                for (i, &got) in buf.iter().enumerate() {
-                    let want = key.uniform_at(offset.wrapping_add(i as u64)) as f32;
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "fill diverged from uniform_at at offset {offset}+{i}"
-                    );
-                }
-            }
         }
     }
 

@@ -468,11 +468,9 @@ fn prune_parts_under(
         }
         Some(engine) => {
             // Outcome counts are order-free sums, so relaxed atomics keep
-            // the banded pass deterministic. Both this banded path and the
-            // sequential one above draw through `prune_slice_at`'s
-            // buffered `StreamKey::fill_uniform_at` runs, and parallel
-            // engines hand out lane-aligned chunks, so the per-chunk
-            // buffers fill whole lane blocks.
+            // the banded pass deterministic. Each element's draw depends
+            // only on its stream position, so any chunking the engine
+            // hands out prunes exactly like the sequential path above.
             let kept = AtomicUsize::new(0);
             let snapped = AtomicUsize::new(0);
             let zeroed = AtomicUsize::new(0);

@@ -110,13 +110,11 @@ pub fn prune_slice<R: Rng + ?Sized>(grads: &mut [f32], tau: f64, rng: &mut R) ->
 /// threads produces bitwise-identical gradients. `tau <= 0` disables
 /// pruning, and exact zeros stay zero, exactly as in [`prune_slice`].
 ///
-/// Draws are read in fixed-width runs through
-/// [`StreamKey::fill_uniform_at`], which folds the Philox key schedule
-/// once per run instead of once per element; a run's buffer is only
-/// filled when one of its elements actually needs a draw, and each
-/// element still reads the draw at its own position (the f32 rounding of
-/// the stream's 53-bit uniform), so any partition of the element space
-/// keeps producing identical results.
+/// Only a non-zero element below τ — one that needs a snap decision —
+/// reads a draw: [`StreamKey::uniform_at`] at its own position, rounded to
+/// `f32`. Elements that are kept or already zero cost no Philox block, so
+/// a pass behind ReLU and max-pool masks draws only for its small
+/// sub-threshold survivors.
 ///
 /// ```
 /// use sparsetrain_core::prune::prune_slice_at;
@@ -142,37 +140,23 @@ pub fn prune_slice_at(grads: &mut [f32], tau: f64, key: StreamKey, offset: u64) 
         return outcome;
     }
     let tau_f = tau as f32;
-    // One run of buffered draws per fixed-width chunk: the chunk size is a
-    // multiple of the engine lane width, so lane-aligned banded callers
-    // fill whole runs.
-    const RUN: usize = 64;
-    let mut draws = [0.0f32; RUN];
-    for (run, chunk) in grads.chunks_mut(RUN).enumerate() {
-        let base = offset.wrapping_add((run * RUN) as u64);
-        let len = chunk.len();
-        let mut filled = false;
-        for (i, g) in chunk.iter_mut().enumerate() {
-            let a = g.abs();
-            if *g == 0.0 {
-                outcome.zeroed += 1;
-            } else if (a as f64) < tau {
-                if !filled {
-                    key.fill_uniform_at(base, &mut draws[..len]);
-                    filled = true;
-                }
-                // r ~ U[0,1) at this element's stream position: keep ±τ
-                // iff |g| > τ·r ⇔ with probability |g|/τ.
-                let r = draws[i] as f64;
-                if (a as f64) > tau * r {
-                    *g = if *g > 0.0 { tau_f } else { -tau_f };
-                    outcome.snapped += 1;
-                } else {
-                    *g = 0.0;
-                    outcome.zeroed += 1;
-                }
+    for (i, g) in grads.iter_mut().enumerate() {
+        let a = g.abs();
+        if *g == 0.0 {
+            outcome.zeroed += 1;
+        } else if (a as f64) < tau {
+            // r ~ U[0,1) at this element's stream position: keep ±τ iff
+            // |g| > τ·r ⇔ with probability |g|/τ.
+            let r = key.uniform_at(offset.wrapping_add(i as u64)) as f32 as f64;
+            if (a as f64) > tau * r {
+                *g = if *g > 0.0 { tau_f } else { -tau_f };
+                outcome.snapped += 1;
             } else {
-                outcome.kept += 1;
+                *g = 0.0;
+                outcome.zeroed += 1;
             }
+        } else {
+            outcome.kept += 1;
         }
     }
     outcome
@@ -288,6 +272,50 @@ mod tests {
             let b = prune_slice_at(tail, 0.008, key, split as u64);
             assert_eq!(parts, whole, "split at {split} diverged");
             assert_eq!(a.total() + b.total(), 512);
+        }
+    }
+
+    /// The draw-per-element rule, spelled out: the reference the on-demand
+    /// draws must reproduce bit for bit.
+    fn prune_reference(grads: &mut [f32], tau: f64, key: StreamKey, offset: u64) {
+        for (i, g) in grads.iter_mut().enumerate() {
+            let a = g.abs() as f64;
+            if *g != 0.0 && a < tau {
+                let r = key.uniform_at(offset + i as u64) as f32 as f64;
+                *g = if a > tau * r {
+                    (tau as f32).copysign(*g)
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+
+    #[test]
+    fn stream_prune_draws_match_per_element_reference() {
+        let key = StreamKey::new(5).derive(2);
+        let tau = 0.01;
+        // One sub-τ element per 64-element run, the rest kept or zero.
+        let sparse: Vec<f32> = (0..640)
+            .map(|i| match i % 64 {
+                17 => 0.002 + (i / 64) as f32 * 7e-4,
+                0..=9 => 0.0,
+                _ => 0.5 - (i % 3) as f32,
+            })
+            .collect();
+        // Every element sub-τ, both signs.
+        let dense: Vec<f32> = (0..640)
+            .map(|i| ((i * 29 % 97) as f32 - 48.0) * 2e-4 + 1e-5)
+            .collect();
+        for (label, base) in [("one per run", sparse), ("all sub-tau", dense)] {
+            for offset in [0u64, 3, 1000] {
+                let mut got = base.clone();
+                let mut want = base.clone();
+                prune_slice_at(&mut got, tau, key, offset);
+                prune_reference(&mut want, tau, key, offset);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{label} at offset {offset}");
+            }
         }
     }
 

@@ -203,13 +203,18 @@ impl Layer for Conv2d {
             "{}: backward called with mismatched batch",
             self.name
         );
+        // The sparse path compresses dO once; ρ_nnz, the bias gradient, the
+        // engines and trace capture all read that one copy.
+        let dout_fms: Vec<SparseFeatureMap> = match self.execution {
+            ConvExecution::Im2row => Vec::new(),
+            ConvExecution::SparseRows => grads.iter().map(SparseFeatureMap::from_tensor).collect(),
+        };
         // Instrument ρ_nnz of dO over the whole batch.
-        let mut nnz = 0usize;
-        let mut total = 0usize;
-        for g in &grads {
-            nnz += stats::nnz(g.as_slice());
-            total += g.len();
-        }
+        let total: usize = grads.iter().map(Tensor3::len).sum();
+        let nnz: usize = match self.execution {
+            ConvExecution::Im2row => grads.iter().map(|g| stats::nnz(g.as_slice())).sum(),
+            ConvExecution::SparseRows => dout_fms.iter().map(SparseFeatureMap::nnz).sum(),
+        };
         if total > 0 {
             self.dout_density_sum += nnz as f64 / total as f64;
             self.dout_density_count += 1;
@@ -233,7 +238,10 @@ impl Layer for Conv2d {
                 filters: self.out_channels,
                 input: input_fm,
                 input_masks: masks,
-                dout: SparseFeatureMap::from_tensor(&grads[0]),
+                dout: match dout_fms.first() {
+                    Some(fm) => fm.clone(),
+                    None => SparseFeatureMap::from_tensor(&grads[0]),
+                },
                 needs_input_grad: !self.first_layer,
             });
         }
@@ -262,8 +270,6 @@ impl Layer for Conv2d {
                 dins
             }
             ConvExecution::SparseRows => {
-                let dout_fms: Vec<SparseFeatureMap> =
-                    grads.iter().map(SparseFeatureMap::from_tensor).collect();
                 // Batched GTW accumulates every sample straight into the
                 // batch gradient — one engine call, no per-sample scratch.
                 ctx.weight_grad_batch_for(
@@ -273,9 +279,13 @@ impl Layer for Conv2d {
                     self.geom,
                     &mut self.wgrad,
                 );
-                for g in &grads {
-                    for (bg, d) in self.bgrad.iter_mut().zip(conv::bias_grad(g)) {
-                        *bg += d;
+                // Summing only the stored values is bitwise the dense
+                // `conv::bias_grad`: zeros leave a running sum unchanged, and
+                // an all-zero channel's `-0.0` sum adds nothing to `bgrad`,
+                // which is never `-0.0` (it starts at `+0.0`).
+                for fm in &dout_fms {
+                    for (fi, bg) in self.bgrad.iter_mut().enumerate() {
+                        *bg += fm.channel_values(fi).iter().sum::<f32>();
                     }
                 }
                 // Each din takes its own sample's spatial extent, so
@@ -468,6 +478,38 @@ mod tests {
         } else {
             panic!("expected conv trace");
         }
+    }
+
+    #[test]
+    fn sparse_bias_grad_and_density_match_dense() {
+        // Channel 1 of both samples is all zero, one holding `-0.0`s: the
+        // compressed sums must still match the dense reference bit for bit.
+        let geom = ConvGeometry::new(3, 1, 1);
+        let xs = vec![
+            Tensor3::from_fn(2, 4, 4, |c, y, x| ((c + 2 * y + x) % 3) as f32 - 0.5),
+            Tensor3::from_fn(2, 4, 4, |c, y, x| ((c * y + x) % 4) as f32 * 0.25),
+        ];
+        let grads = vec![
+            Tensor3::from_fn(3, 4, 4, |f, y, x| match f {
+                1 => 0.0,
+                _ => ((f + y * x) % 5) as f32 * 0.1 - 0.2,
+            }),
+            Tensor3::from_fn(3, 4, 4, |f, y, x| match f {
+                1 => -0.0,
+                _ => ((3 * f + y + x) % 7) as f32 * -0.3 + 0.9,
+            }),
+        ];
+        let mut dense = Conv2d::new("c", 2, 3, geom, 9);
+        let mut sparse = dense.clone();
+        sparse.set_execution(ConvExecution::SparseRows);
+        for conv in [&mut dense, &mut sparse] {
+            conv.forward(xs.clone().into(), &mut ctx(), true);
+            conv.backward(grads.clone(), &mut ctx(), &StepStreams::new(0, 0, 0));
+        }
+        let bits = |v: &[f32]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sparse.bgrad), bits(&dense.bgrad));
+        assert_eq!(sparse.bgrad[1].to_bits(), 0.0f32.to_bits());
+        assert_eq!(sparse.mean_dout_density(), dense.mean_dout_density());
     }
 
     #[test]

@@ -138,7 +138,7 @@ mod tests {
             group.enqueue(
                 pe,
                 QueuedOp::Src(SrcOp {
-                    input: row,
+                    input: row.as_row(),
                     geom,
                     out_len: 8,
                 }),
@@ -159,7 +159,7 @@ mod tests {
             group.enqueue(
                 i % 2,
                 QueuedOp::Src(SrcOp {
-                    input: row,
+                    input: row.as_row(),
                     geom,
                     out_len: 8,
                 }),
@@ -186,7 +186,7 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: &zero,
+                input: zero.as_row(),
                 geom,
                 out_len: 8,
             }),
@@ -194,7 +194,7 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: &nonzero,
+                input: nonzero.as_row(),
                 geom,
                 out_len: 8,
             }),
@@ -202,7 +202,7 @@ mod tests {
         group.enqueue(
             0,
             QueuedOp::Src(SrcOp {
-                input: &zero,
+                input: zero.as_row(),
                 geom,
                 out_len: 8,
             }),

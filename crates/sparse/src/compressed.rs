@@ -3,7 +3,9 @@
 //! This is the storage format the PPU writes back to the global buffer
 //! (§V: "resulting vector will be converted into a compressed format") and
 //! the format PE Port-1 consumes: a list of `(offset, value)` pairs with
-//! strictly increasing offsets.
+//! strictly increasing offsets. [`SparseVec`] owns one such row;
+//! [`SparseRow`] borrows one, from a `SparseVec` or from a feature map's
+//! flat buffers.
 
 use std::fmt;
 
@@ -97,6 +99,15 @@ impl SparseVec {
         Ok(())
     }
 
+    /// The borrowed row view of this vector — the type every kernel reads.
+    pub fn as_row(&self) -> SparseRow<'_> {
+        SparseRow {
+            len: self.len,
+            offsets: &self.offsets,
+            values: &self.values,
+        }
+    }
+
     /// Logical length of the vector.
     pub fn len(&self) -> usize {
         self.len
@@ -114,11 +125,7 @@ impl SparseVec {
 
     /// Fraction of non-zero elements (1.0 for a zero-length vector).
     pub fn density(&self) -> f64 {
-        if self.len == 0 {
-            1.0
-        } else {
-            self.nnz() as f64 / self.len as f64
-        }
+        self.as_row().density()
     }
 
     /// The sorted offsets of the non-zero elements.
@@ -133,10 +140,7 @@ impl SparseVec {
 
     /// Iterates over `(offset, value)` pairs in increasing offset order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
-        self.offsets
-            .iter()
-            .zip(&self.values)
-            .map(|(&o, &v)| (o as usize, v))
+        self.as_row().iter()
     }
 
     /// Value at `index` (zero when not stored).
@@ -147,20 +151,12 @@ impl SparseVec {
     ///
     /// Panics if `index >= len`.
     pub fn get(&self, index: usize) -> f32 {
-        assert!(index < self.len, "index {index} out of range {}", self.len);
-        match self.offsets.binary_search(&(index as u32)) {
-            Ok(pos) => self.values[pos],
-            Err(_) => 0.0,
-        }
+        self.as_row().get(index)
     }
 
     /// Expands back to a dense vector.
     pub fn to_dense(&self) -> Vec<f32> {
-        let mut dense = vec![0.0; self.len];
-        for (o, v) in self.iter() {
-            dense[o] = v;
-        }
-        dense
+        self.as_row().to_dense()
     }
 
     /// Appends a non-zero element with an offset beyond the current last.
@@ -181,13 +177,125 @@ impl SparseVec {
 
     /// Index of the first stored offset `>= index`, for cursor-based scans.
     pub fn lower_bound(&self, index: usize) -> usize {
-        self.offsets.partition_point(|&o| (o as usize) < index)
+        self.as_row().lower_bound(index)
     }
 
     /// Number of 16-bit words this vector occupies in the compressed
     /// on-chip format (one word per value plus one offset word per value).
     pub fn storage_words(&self) -> usize {
+        self.as_row().storage_words()
+    }
+}
+
+/// A borrowed compressed row: the read side of [`SparseVec`], and the row
+/// type a [`crate::rowconv::SparseFeatureMap`] hands out from its flat
+/// buffers.
+///
+/// `Copy`, so kernels take it by value. It carries the same invariants as
+/// [`SparseVec`] (sorted in-range offsets, non-zero values).
+///
+/// ```
+/// use sparsetrain_sparse::{SparseRow, SparseVec};
+/// let v = SparseVec::from_dense(&[0.0, 3.0, 0.0, -1.0]);
+/// let row: SparseRow<'_> = v.as_row();
+/// assert_eq!(row.nnz(), 2);
+/// assert_eq!(row.to_dense(), v.to_dense());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SparseRow<'a> {
+    len: usize,
+    offsets: &'a [u32],
+    values: &'a [f32],
+}
+
+impl<'a> SparseRow<'a> {
+    /// A view over pre-validated parts; the caller upholds the invariants.
+    pub(crate) fn from_parts(len: usize, offsets: &'a [u32], values: &'a [f32]) -> Self {
+        debug_assert_eq!(offsets.len(), values.len());
+        Self { len, offsets, values }
+    }
+
+    /// Logical length of the row.
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the logical length is zero.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of stored non-zeros.
+    pub fn nnz(self) -> usize {
+        self.values.len()
+    }
+
+    /// Fraction of non-zero elements (1.0 for a zero-length row).
+    pub fn density(self) -> f64 {
+        if self.len == 0 {
+            1.0
+        } else {
+            self.nnz() as f64 / self.len as f64
+        }
+    }
+
+    /// The sorted offsets of the non-zero elements.
+    pub fn offsets(self) -> &'a [u32] {
+        self.offsets
+    }
+
+    /// The non-zero values, parallel to [`SparseRow::offsets`].
+    pub fn values(self) -> &'a [f32] {
+        self.values
+    }
+
+    /// Iterates over `(offset, value)` pairs in increasing offset order.
+    pub fn iter(self) -> impl Iterator<Item = (usize, f32)> + 'a {
+        self.offsets
+            .iter()
+            .zip(self.values)
+            .map(|(&o, &v)| (o as usize, v))
+    }
+
+    /// Value at `index` (zero when not stored).
+    ///
+    /// `O(log nnz)` binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len`.
+    pub fn get(self, index: usize) -> f32 {
+        assert!(index < self.len, "index {index} out of range {}", self.len);
+        match self.offsets.binary_search(&(index as u32)) {
+            Ok(pos) => self.values[pos],
+            Err(_) => 0.0,
+        }
+    }
+
+    /// Expands back to a dense vector.
+    pub fn to_dense(self) -> Vec<f32> {
+        let mut dense = vec![0.0; self.len];
+        for (o, v) in self.iter() {
+            dense[o] = v;
+        }
+        dense
+    }
+
+    /// Index of the first stored offset `>= index`, for cursor-based scans.
+    pub fn lower_bound(self, index: usize) -> usize {
+        self.offsets.partition_point(|&o| (o as usize) < index)
+    }
+
+    /// Number of 16-bit words this row occupies in the compressed on-chip
+    /// format (one word per value plus one offset word per value).
+    pub fn storage_words(self) -> usize {
         2 * self.nnz()
+    }
+}
+
+impl<'a> From<&'a SparseVec> for SparseRow<'a> {
+    fn from(v: &'a SparseVec) -> Self {
+        v.as_row()
     }
 }
 

@@ -61,7 +61,7 @@
 //! consumes the same op enumeration and is engine-agnostic by
 //! construction.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use crate::mask::RowMask;
 use crate::msrc::msrc_accumulate;
 use crate::osrc::osrc_accumulate;
@@ -1229,9 +1229,9 @@ impl Workspace {
     /// # Panics
     ///
     /// Panics if `kernel_row.len() != geom.kernel`.
-    pub fn src(
+    pub fn src<'a>(
         &mut self,
-        input: &SparseVec,
+        input: impl Into<SparseRow<'a>>,
         kernel_row: &[f32],
         geom: ConvGeometry,
         out_len: usize,
@@ -1247,9 +1247,9 @@ impl Workspace {
     ///
     /// Panics if `kernel_row.len() != geom.kernel` or
     /// `mask.len() != out_len`.
-    pub fn msrc(
+    pub fn msrc<'a>(
         &mut self,
-        grad: &SparseVec,
+        grad: impl Into<SparseRow<'a>>,
         kernel_row: &[f32],
         geom: ConvGeometry,
         mask: &RowMask,
@@ -1266,7 +1266,12 @@ impl Workspace {
     ///
     /// Panics (in debug builds) if operand lengths are inconsistent with
     /// `geom`.
-    pub fn osrc(&mut self, input: &SparseVec, grad: &SparseVec, geom: ConvGeometry) -> &[f32] {
+    pub fn osrc<'a, 'b>(
+        &mut self,
+        input: impl Into<SparseRow<'a>>,
+        grad: impl Into<SparseRow<'b>>,
+        geom: ConvGeometry,
+    ) -> &[f32] {
         let taps = self.taps(geom.kernel);
         osrc_accumulate(input, grad, geom, taps);
         taps
@@ -1276,6 +1281,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::SparseVec;
     use sparsetrain_tensor::Tensor3;
 
     fn pseudo(seed: &mut u64) -> f32 {

@@ -61,7 +61,7 @@
 //! else; both produce identical bits and [`Im2RowEngine::portable`] pins
 //! the portable path.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use crate::engine::{scalar_forward_band, BandContext, KernelEngine};
 use crate::rowconv::SparseFeatureMap;
 use crate::simd_engine::{avx2_available, contains_negative_zero, densify_map};
@@ -210,7 +210,7 @@ impl Im2RowEngine {
         }
     }
 
-    fn row_worthy(&self, row: &SparseVec) -> bool {
+    fn row_worthy(&self, row: SparseRow<'_>) -> bool {
         row.nnz().saturating_mul(self.cutoff) >= row.len()
     }
 

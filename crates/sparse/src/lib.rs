@@ -18,6 +18,19 @@
 //! in `sparsetrain-tensor`; [`work`] provides the analytic PE cycle model
 //! for each primitive, which the cycle-exact simulator is checked against.
 //!
+//! # Storage
+//!
+//! Every kernel reads its sparse operand as a [`SparseRow`]: a `Copy`
+//! borrowed view of one row's sorted `(offset, value)` pairs. An owned
+//! single row is a [`SparseVec`] (the simulator's PEs and the property
+//! tests use it), which lends the view through [`SparseVec::as_row`]. A
+//! whole feature map is a [`rowconv::SparseFeatureMap`], stored as one
+//! flat CSR buffer: a `row_ptr` array of `channels · height + 1` prefix
+//! counts indexing map-wide `offsets` and `values` arrays. Compressing a
+//! dense tensor is one counting pass plus one fill pass into
+//! exactly-sized buffers, and [`rowconv::SparseFeatureMap::row`] hands out
+//! views into them, so no path allocates per row.
+//!
 //! # The execution engine layer
 //!
 //! All three kernels expose *accumulate-into-scratch* APIs
@@ -116,7 +129,7 @@ pub mod simd_engine;
 pub mod src;
 pub mod work;
 
-pub use compressed::SparseVec;
+pub use compressed::{SparseRow, SparseVec};
 pub use context::ExecutionContext;
 pub use engine::{BandContext, KernelEngine, ParallelEngine, ScalarEngine, Workspace};
 pub use fixed_engine::FixedPointEngine;

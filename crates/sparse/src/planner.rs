@@ -129,9 +129,9 @@ pub(crate) fn candidates_for_threads(threads: usize) -> Vec<EngineHandle> {
 /// density the dense micro-kernel carries the call).
 const IM2ROW_FORWARD_DENSITY: f64 = 0.20;
 
-/// Density below which rows are too sparse for lane sweeps to pay off and
-/// the work-proportional sparse scalar kernels win (the d ≈ 0.05 regime of
-/// pruned gradients).
+/// Forward density below which activation rows are too sparse for the
+/// simd engine's dense row sweeps to pay off and the work-proportional
+/// sparse scalar kernels win.
 const SPARSE_SCALAR_DENSITY: f64 = 0.08;
 
 /// The win-region heuristic: the engine name for one cell, given the
@@ -142,13 +142,15 @@ const SPARSE_SCALAR_DENSITY: f64 = 0.08;
 ///
 /// Rules distilled from the committed bench baselines: im2row dominates
 /// dense forward legs (aggregate density ≥ 0.20), simd wins mid-density
-/// legs on every stage, and below ≈ 0.08 density the sparse scalar kernels
-/// win — work proportional to nnz beats any dense sweep.
+/// forward legs, and below ≈ 0.08 forward density the sparse scalar
+/// kernels win — work proportional to nnz beats any dense sweep. simd wins
+/// GTA and GTW at every measured density: its backward kernels already do
+/// work proportional to the gradient's non-zeros.
 pub fn heuristic_name(stage: Stage, density: f64, parallel: bool) -> &'static str {
     let base = match stage {
         Stage::Forward if density >= IM2ROW_FORWARD_DENSITY => "im2row",
-        _ if density >= SPARSE_SCALAR_DENSITY => "simd",
-        _ => "scalar",
+        Stage::Forward if density < SPARSE_SCALAR_DENSITY => "scalar",
+        _ => "simd",
     };
     match (parallel, base) {
         (false, base) => base,
@@ -613,15 +615,19 @@ mod tests {
         assert_eq!(heuristic_name(Stage::Forward, 0.10, false), "simd");
         assert_eq!(heuristic_name(Stage::InputGrad, 0.15, false), "simd");
         assert_eq!(heuristic_name(Stage::WeightGrad, 0.25, false), "simd");
-        // The pruned d ≈ 0.05 backward regime → sparse scalar kernels.
-        assert_eq!(heuristic_name(Stage::InputGrad, 0.05, false), "scalar");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, false), "scalar");
+        // Very sparse forward → sparse scalar kernels; the pruned d ≈ 0.05
+        // backward regime stays on simd, whose GTA/GTW work scales with nnz.
+        assert_eq!(heuristic_name(Stage::Forward, 0.05, false), "scalar");
+        assert_eq!(heuristic_name(Stage::InputGrad, 0.05, false), "simd");
+        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, false), "simd");
+        assert_eq!(heuristic_name(Stage::WeightGrad, 0.0, false), "simd");
         // Gradient stages never take the forward-only im2row lowering.
         assert_eq!(heuristic_name(Stage::InputGrad, 0.95, false), "simd");
         // Band parallelism composes on multi-worker pools.
         assert_eq!(heuristic_name(Stage::Forward, 0.95, true), "parallel:im2row");
         assert_eq!(heuristic_name(Stage::InputGrad, 0.15, true), "parallel:simd");
-        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, true), "parallel");
+        assert_eq!(heuristic_name(Stage::WeightGrad, 0.05, true), "parallel:simd");
+        assert_eq!(heuristic_name(Stage::Forward, 0.05, true), "parallel");
     }
 
     #[test]
@@ -807,8 +813,8 @@ mod tests {
     #[test]
     fn auto_engine_is_bitwise_identical_to_scalar() {
         let geom = ConvGeometry::new(3, 1, 1);
-        // One dense map (im2row territory) and one sparse map (scalar
-        // territory): the delegate changes, the bits must not.
+        // One dense map (im2row forward) and one sparse map (scalar
+        // forward, simd backward): the delegates change, the bits must not.
         for density in [90u64, 5] {
             let mut seed = 0x5EED + density;
             let mut pseudo = move || {

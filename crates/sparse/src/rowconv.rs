@@ -14,8 +14,15 @@
 //! [`KernelEngine::weight_grad`] and their batched variants).
 //! All engines accumulate through the kernels' scratch APIs, so no per-row
 //! heap allocation happens on any path.
+//!
+//! Operands travel as [`SparseFeatureMap`]s: one flat CSR buffer per map
+//! (`row_ptr` of `channels · height + 1` prefix counts into map-wide
+//! `offsets` and `values`), built by one exactly-sized compression pass.
+//! Kernels read one row at a time through the borrowed [`SparseRow`] view
+//! that [`SparseFeatureMap::row`] returns; every engine sees the same
+//! `(offset, value)` sequence per row that a per-row layout would give.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use crate::engine::{KernelEngine, ScalarEngine};
 use crate::mask::RowMask;
 use sparsetrain_tensor::conv::ConvGeometry;
@@ -24,6 +31,11 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 /// A feature map stored as compressed rows — the on-chip layout of sparse
 /// activations and gradients.
 ///
+/// The rows live in one flat CSR buffer: row `r = c·height + y` holds the
+/// entries `row_ptr[r]..row_ptr[r + 1]` of the map-wide `offsets` and
+/// `values` arrays, so a map costs three allocations whatever its shape.
+/// [`SparseFeatureMap::row`] lends one row as a [`SparseRow`] view.
+///
 /// ```
 /// use sparsetrain_sparse::rowconv::SparseFeatureMap;
 /// use sparsetrain_tensor::Tensor3;
@@ -31,6 +43,7 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 /// let t = Tensor3::from_fn(2, 2, 4, |_, _, x| if x % 2 == 0 { 1.0 } else { 0.0 });
 /// let fm = SparseFeatureMap::from_tensor(&t);
 /// assert_eq!(fm.density(), 0.5);
+/// assert_eq!(fm.row(1, 0).offsets(), &[0, 2]);
 /// assert_eq!(fm.to_tensor(), t);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -38,24 +51,49 @@ pub struct SparseFeatureMap {
     channels: usize,
     height: usize,
     width: usize,
-    rows: Vec<SparseVec>,
+    /// `channels · height + 1` prefix counts into `offsets` / `values`.
+    row_ptr: Box<[usize]>,
+    offsets: Box<[u32]>,
+    values: Box<[f32]>,
 }
 
 impl SparseFeatureMap {
-    /// Compresses a dense feature map row by row.
+    /// Compresses a dense feature map, dropping exact zeros.
+    ///
+    /// A counting pass sizes the buffers exactly; one branch-free pass then
+    /// fills them, writing every element to the next free slot and
+    /// advancing past it only when it is non-zero.
     pub fn from_tensor(t: &Tensor3) -> Self {
         let (c, h, w) = t.shape();
-        let mut rows = Vec::with_capacity(c * h);
-        for ci in 0..c {
-            for y in 0..h {
-                rows.push(SparseVec::from_dense(t.row(ci, y)));
+        let data = t.as_slice();
+        let nnz = data.iter().filter(|&&v| v != 0.0).count();
+        // The fill stops after the last non-zero: before it, fewer than
+        // `nnz` slots are taken, so every write lands in range.
+        let end = data.iter().rposition(|&v| v != 0.0).map_or(0, |i| i + 1);
+        let mut row_ptr = Vec::with_capacity(c * h + 1);
+        let mut offsets = vec![0u32; nnz];
+        let mut values = vec![0.0f32; nnz];
+        let mut n = 0;
+        row_ptr.push(0);
+        // `end > 0` implies `w > 0`.
+        if end > 0 {
+            for row in data[..end].chunks(w) {
+                for (x, &v) in row.iter().enumerate() {
+                    offsets[n] = x as u32;
+                    values[n] = v;
+                    n += usize::from(v != 0.0);
+                }
+                row_ptr.push(n);
             }
         }
+        row_ptr.resize(c * h + 1, n);
         Self {
             channels: c,
             height: h,
             width: w,
-            rows,
+            row_ptr: row_ptr.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+            values: values.into_boxed_slice(),
         }
     }
 
@@ -79,14 +117,35 @@ impl SparseFeatureMap {
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn row(&self, c: usize, y: usize) -> &SparseVec {
+    pub fn row(&self, c: usize, y: usize) -> SparseRow<'_> {
         assert!(c < self.channels && y < self.height);
-        &self.rows[c * self.height + y]
+        self.row_at(c * self.height + y)
+    }
+
+    /// Row `r` in channel-major order.
+    fn row_at(&self, r: usize) -> SparseRow<'_> {
+        let span = self.row_ptr[r]..self.row_ptr[r + 1];
+        SparseRow::from_parts(self.width, &self.offsets[span.clone()], &self.values[span])
+    }
+
+    /// Every row in channel-major order (`(c, y)` at index `c·height + y`).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = SparseRow<'_>> + '_ {
+        (0..self.channels * self.height).map(|r| self.row_at(r))
+    }
+
+    /// The stored values of channel `c`, in row-major order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of bounds.
+    pub fn channel_values(&self, c: usize) -> &[f32] {
+        assert!(c < self.channels);
+        &self.values[self.row_ptr[c * self.height]..self.row_ptr[(c + 1) * self.height]]
     }
 
     /// Total non-zero count.
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(SparseVec::nnz).sum()
+        self.values.len()
     }
 
     /// Overall density (1.0 if the map has no elements).
@@ -102,10 +161,11 @@ impl SparseFeatureMap {
     /// Expands back to a dense tensor.
     pub fn to_tensor(&self) -> Tensor3 {
         let mut t = Tensor3::zeros(self.channels, self.height, self.width);
-        for ci in 0..self.channels {
-            for y in 0..self.height {
-                let dense = self.row(ci, y).to_dense();
-                t.row_mut(ci, y).copy_from_slice(&dense);
+        let w = self.width;
+        for (r, row) in self.rows().enumerate() {
+            let dense = &mut t.as_mut_slice()[r * w..(r + 1) * w];
+            for (x, v) in row.iter() {
+                dense[x] = v;
             }
         }
         t
@@ -116,39 +176,40 @@ impl SparseFeatureMap {
     /// (quantization underflow produces genuinely empty positions, exactly
     /// as a fixed-point datapath would store them).
     pub fn map_values(&self, f: impl Fn(f32) -> f32) -> Self {
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut mapped = SparseVec::zeros(row.len());
-                for (offset, value) in row.iter() {
-                    let m = f(value);
-                    if m != 0.0 {
-                        mapped.push(offset, m);
-                    }
+        let mut row_ptr = Vec::with_capacity(self.row_ptr.len());
+        let mut offsets = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        row_ptr.push(0);
+        for row in self.rows() {
+            for (x, v) in row.iter() {
+                let m = f(v);
+                if m != 0.0 {
+                    offsets.push(x as u32);
+                    values.push(m);
                 }
-                mapped
-            })
-            .collect();
+            }
+            row_ptr.push(values.len());
+        }
         Self {
             channels: self.channels,
             height: self.height,
             width: self.width,
-            rows,
+            row_ptr: row_ptr.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+            values: values.into_boxed_slice(),
         }
     }
 
     /// Per-row non-zero masks (the Forward-step masks consumed by GTA).
     pub fn masks(&self) -> Vec<RowMask> {
-        self.rows
-            .iter()
+        self.rows()
             .map(|r| RowMask::from_offsets(r.len(), r.offsets()))
             .collect()
     }
 
     /// Size of the compressed representation in 16-bit words.
     pub fn storage_words(&self) -> usize {
-        self.rows.iter().map(SparseVec::storage_words).sum()
+        2 * self.nnz()
     }
 }
 

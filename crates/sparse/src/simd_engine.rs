@@ -78,7 +78,7 @@
 //! through [`crate::engine::ParallelEngine::over`]: the registry's
 //! `"parallel:simd"` runs these band workers inside each rayon band.
 
-use crate::compressed::SparseVec;
+use crate::compressed::SparseRow;
 use crate::engine::{
     check_input_grad, check_weight_grad, scalar_forward_band, scalar_input_grad_band,
     scalar_weight_grad_band, BandContext, KernelEngine,
@@ -188,17 +188,14 @@ unsafe fn saxpy_avx2(dst: &mut [f32], src: &[f32], w: f32) {
 /// Writes the rows of `fm` selected by `select(nnz, len)` into a dense
 /// channel-major buffer (`channels × height × width`); unselected rows are
 /// left zero (they are only read through the sparse fallback).
-pub(crate) fn densify_map(fm: &SparseFeatureMap, select: impl Fn(&SparseVec) -> bool) -> Vec<f32> {
-    let (c, h, w) = (fm.channels(), fm.height(), fm.width());
-    let mut dense = vec![0.0f32; c * h * w];
-    for ci in 0..c {
-        for y in 0..h {
-            let row = fm.row(ci, y);
-            if select(row) {
-                let out = &mut dense[(ci * h + y) * w..(ci * h + y + 1) * w];
-                for (ix, val) in row.iter() {
-                    out[ix] = val;
-                }
+pub(crate) fn densify_map(fm: &SparseFeatureMap, select: impl Fn(SparseRow<'_>) -> bool) -> Vec<f32> {
+    let w = fm.width();
+    let mut dense = vec![0.0f32; fm.channels() * fm.height() * w];
+    for (r, row) in fm.rows().enumerate() {
+        if select(row) {
+            let out = &mut dense[r * w..(r + 1) * w];
+            for (ix, val) in row.iter() {
+                out[ix] = val;
             }
         }
     }
@@ -209,9 +206,8 @@ pub(crate) fn densify_map(fm: &SparseFeatureMap, select: impl Fn(&SparseVec) -> 
 /// qualifies for the vector sweeps (the whole map routes to the sparse
 /// kernels and no buffer is needed).
 fn densify_worthy(fm: &SparseFeatureMap) -> Option<Vec<f32>> {
-    let worthy = |row: &SparseVec| dense_worthwhile(row.nnz(), row.len());
-    let any = (0..fm.channels()).any(|ci| (0..fm.height()).any(|y| worthy(fm.row(ci, y))));
-    any.then(|| densify_map(fm, worthy))
+    let worthy = |row: SparseRow<'_>| dense_worthwhile(row.nnz(), row.len());
+    fm.rows().any(worthy).then(|| densify_map(fm, worthy))
 }
 
 /// The GTA weights of channels `c_lo..c_lo + n_c`, repacked to

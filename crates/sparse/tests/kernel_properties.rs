@@ -3,10 +3,12 @@
 use proptest::prelude::*;
 use sparsetrain_sparse::msrc::{fully_masked_loads, msrc_conv};
 use sparsetrain_sparse::osrc::{osrc_conv, osrc_pair_count};
+use sparsetrain_sparse::rowconv::SparseFeatureMap;
 use sparsetrain_sparse::src::{src_accumulate, src_conv};
 use sparsetrain_sparse::work::{msrc_work, osrc_work, src_work};
 use sparsetrain_sparse::{RowMask, SparseVec};
 use sparsetrain_tensor::conv::ConvGeometry;
+use sparsetrain_tensor::Tensor3;
 
 fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseVec> {
     proptest::collection::vec(
@@ -17,6 +19,32 @@ fn arb_sparse_row(len: usize) -> impl Strategy<Value = SparseVec> {
         len,
     )
     .prop_map(|dense| SparseVec::from_dense(&dense))
+}
+
+/// A dense map of up to 4 × 5 × 9 elements, zero-sized dimensions
+/// included, in one of three fills: mixed (with `-0.0` entries), empty
+/// (every element a signed zero) or all dense.
+fn arb_feature_map() -> impl Strategy<Value = Tensor3> {
+    let pool = proptest::collection::vec(
+        prop_oneof![
+            40u32 => Just(0.0f32),
+            15u32 => Just(-0.0f32),
+            45u32 => (-4.0f32..4.0).prop_filter("non-zero", |v| *v != 0.0),
+        ],
+        180,
+    );
+    (0usize..=4, 0usize..=5, 0usize..=9, 0u8..3, pool).prop_map(|(c, h, w, fill, pool)| {
+        Tensor3::from_fn(c, h, w, |ci, y, x| {
+            let v = pool[(ci * h + y) * w + x];
+            match fill {
+                0 => v,
+                1 if v.is_sign_negative() => -0.0,
+                1 => 0.0,
+                _ if v == 0.0 => 1.5,
+                _ => v,
+            }
+        })
+    })
 }
 
 fn arb_geom() -> impl Strategy<Value = ConvGeometry> {
@@ -158,5 +186,75 @@ proptest! {
     #[test]
     fn storage_words_track_nnz(row in arb_sparse_row(64)) {
         prop_assert_eq!(row.storage_words(), 2 * row.nnz());
+    }
+
+    /// The flat map round-trips its dense tensor, up to the sign of zero.
+    #[test]
+    fn feature_map_roundtrips_dense(t in arb_feature_map()) {
+        let back = SparseFeatureMap::from_tensor(&t).to_tensor();
+        prop_assert_eq!(back.shape(), t.shape());
+        for (got, want) in back.as_slice().iter().zip(t.as_slice()) {
+            // Signed zeros compress to nothing and come back as `+0.0`.
+            let want = if *want == 0.0 { 0.0f32 } else { *want };
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    /// Every row view, and every map-wide summary, equals the per-row
+    /// `SparseVec` reference built from the same dense rows.
+    #[test]
+    fn feature_map_matches_per_row_reference(t in arb_feature_map()) {
+        let fm = SparseFeatureMap::from_tensor(&t);
+        let (c, h, w) = t.shape();
+        // Row r = c·h + y of the dense tensor, zero-width rows included.
+        let reference: Vec<SparseVec> = (0..c * h)
+            .map(|r| SparseVec::from_dense(&t.as_slice()[r * w..(r + 1) * w]))
+            .collect();
+        for ci in 0..c {
+            for y in 0..h {
+                let want = &reference[ci * h + y];
+                prop_assert_eq!(fm.row(ci, y), want.as_row());
+            }
+        }
+        prop_assert_eq!(fm.rows().len(), c * h);
+        let nnz: usize = reference.iter().map(SparseVec::nnz).sum();
+        prop_assert_eq!(fm.nnz(), nnz);
+        let total = c * h * w;
+        let density = if total == 0 { 1.0 } else { nnz as f64 / total as f64 };
+        prop_assert_eq!(fm.density(), density);
+        prop_assert_eq!(
+            fm.storage_words(),
+            reference.iter().map(SparseVec::storage_words).sum::<usize>()
+        );
+        let masks: Vec<RowMask> = reference
+            .iter()
+            .map(|r| RowMask::from_offsets(r.len(), r.offsets()))
+            .collect();
+        prop_assert_eq!(fm.masks(), masks);
+        for ci in 0..c {
+            let values: Vec<f32> = reference[ci * h..(ci + 1) * h]
+                .iter()
+                .flat_map(|r| r.values().to_vec())
+                .collect();
+            prop_assert_eq!(fm.channel_values(ci), &values[..]);
+        }
+
+        // map_values: halving keeps every entry; truncation to an integer
+        // drops the |v| < 1 ones, exactly as the per-row `push` would.
+        for f in [|v: f32| v * 0.5, |v: f32| v.trunc()] {
+            let mapped = fm.map_values(f);
+            prop_assert_eq!((mapped.channels(), mapped.height(), mapped.width()), (c, h, w));
+            for ci in 0..c {
+                for y in 0..h {
+                    let mut want = SparseVec::zeros(w);
+                    for (x, v) in reference[ci * h + y].iter() {
+                        if f(v) != 0.0 {
+                            want.push(x, f(v));
+                        }
+                    }
+                    prop_assert_eq!(mapped.row(ci, y), want.as_row());
+                }
+            }
+        }
     }
 }
