@@ -20,9 +20,12 @@
 //! lane-level and shows up even on one core wherever rows are dense
 //! enough to sweep (`≥1.5×` expected on AVX2 at the forward densities
 //! below); the im2row engine targets the dense early-layer forward legs
-//! (`conv1`/`conv2`), where its register-tiled patch reduction beats the
-//! row sweeps. The `engine_end_to_end` group runs all three stages of each
-//! layer through the planned `ExecutionContext` seam, pitting the `auto`
+//! (`conv1`/`conv2`), where its register-blocked implicit GEMM beats the
+//! row sweeps. The forward group adds a ResNet stride-2 downsampling leg,
+//! where the simd forward sweeps (stride 1 only) fall back to the scalar
+//! code and the im2row implicit GEMM does not. The `engine_end_to_end`
+//! group runs all three stages of each layer through the planned
+//! `ExecutionContext` seam, pitting the `auto`
 //! planner's per-(layer, stage) choices against every single global
 //! engine. The `pruning` group covers the stochastic pruning stage:
 //! sequential `prune_batch_parts` vs engine-banded `prune_batch_parts_on`
@@ -47,7 +50,7 @@ use std::hint::black_box;
 /// width the paper's Table I evaluates, with representative densities for
 /// the input activations and pruned output gradients. `conv1` is the
 /// dense early layer (near-dense raw-image input, wide rows) where the
-/// cache-blocked `im2row` lowering is expected to win; sparsity grows and
+/// implicit-GEMM `im2row` lowering is expected to win; sparsity grows and
 /// rows shrink down the stack, handing the advantage to the sparse
 /// row kernels.
 const LAYERS: [(&str, usize, usize, usize, f64, f64); 4] = [
@@ -56,6 +59,11 @@ const LAYERS: [(&str, usize, usize, usize, f64, f64); 4] = [
     ("conv3_128x192x8", 128, 192, 8, 0.35, 0.10),
     ("conv4_192x192x8", 192, 192, 8, 0.30, 0.05),
 ];
+
+/// A ResNet downsampling shape (channels, filters, input spatial size,
+/// input density) for the forward group only: 3×3, stride 2, pad 1, so
+/// the output is half the input's extent.
+const DOWNSAMPLE: (&str, usize, usize, usize, f64) = ("down_s2_64x128x16", 64, 128, 16, 0.45);
 
 /// Batched comparison shape: one AlexNet conv3-like layer over a
 /// mini-batch.
@@ -116,8 +124,18 @@ fn bench_forward(c: &mut Criterion) {
     println!("hardware threads: {}", rayon::current_num_threads());
     let mut group = c.benchmark_group("engine_forward");
     group.sample_size(10);
-    for (name, ci, fi, hw, din, dout) in LAYERS {
-        let fx = fixture(ci, fi, hw, din, dout);
+    let (down, ci, fi, hw, din) = DOWNSAMPLE;
+    let fixtures = LAYERS
+        .iter()
+        .map(|&(name, ci, fi, hw, din, dout)| (name, fixture(ci, fi, hw, din, dout)))
+        .chain(std::iter::once((
+            down,
+            LayerFixture {
+                geom: ConvGeometry::new(3, 2, 1),
+                ..fixture(ci, fi, hw, din, 0.0)
+            },
+        )));
+    for (name, fx) in fixtures {
         for handle in engines() {
             group.bench_with_input(BenchmarkId::new(handle.name(), name), &fx, |b, fx| {
                 b.iter(|| {

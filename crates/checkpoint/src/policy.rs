@@ -406,8 +406,10 @@ mod tests {
         dir
     }
 
-    /// Tests that install a fault plan share process-global state with each
-    /// other; serialize them (tolerating poison from an unrelated panic).
+    /// The fault plan is process-global: a test that installs one and any
+    /// test that saves or loads (and would consume its triggers) must not
+    /// overlap. Every such test holds this guard (tolerating poison from an
+    /// unrelated panic).
     fn fault_test_guard() -> std::sync::MutexGuard<'static, ()> {
         static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
         GATE.lock().unwrap_or_else(|e| e.into_inner())
@@ -437,6 +439,7 @@ mod tests {
 
     #[test]
     fn save_rotate_and_reload() {
+        let _g = fault_test_guard();
         let dir = temp_dir("rotate");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_epochs(&dir, 1).with_keep(2)).unwrap();
         for epoch in 1..=4 {
@@ -459,6 +462,7 @@ mod tests {
 
     #[test]
     fn manager_adopts_existing_files() {
+        let _g = fault_test_guard();
         let dir = temp_dir("adopt");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_epochs(&dir, 1).with_keep(2)).unwrap();
         mgr.save(&tiny_snapshot(1, 10)).unwrap();
@@ -483,6 +487,7 @@ mod tests {
 
     #[test]
     fn latest_in_orders_numerically_across_padding_overflow() {
+        let _g = fault_test_guard();
         // Regression: step 1_000_000_000 outgrows the `{:09}` zero padding, so a
         // lexicographic sort ranked it *before* 999_999_999 and resume picked the older file.
         let dir = temp_dir("overflow");
@@ -529,6 +534,7 @@ mod tests {
 
     #[test]
     fn load_reports_typed_errors_naming_the_file() {
+        let _g = fault_test_guard();
         let dir = temp_dir("load-errors");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.stck");
@@ -556,6 +562,7 @@ mod tests {
 
     #[test]
     fn scan_skips_truncated_newest_and_resumes_from_older_valid() {
+        let _g = fault_test_guard();
         // Regression: a torn final write must not block recovery — the scan
         // has to report the corrupt newest file by name and fall back to the
         // valid snapshot behind it.
@@ -582,6 +589,7 @@ mod tests {
 
     #[test]
     fn scan_skips_zero_length_newest() {
+        let _g = fault_test_guard();
         let dir = temp_dir("scan-empty");
         let mut mgr = CheckpointManager::new(CheckpointPolicy::every_steps(&dir, 1).with_keep(0)).unwrap();
         mgr.save(&tiny_snapshot(1, 10)).unwrap();
@@ -597,6 +605,7 @@ mod tests {
 
     #[test]
     fn scan_with_no_valid_snapshot_reports_every_skip() {
+        let _g = fault_test_guard();
         let dir = temp_dir("scan-none");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("ckpt-e00001-s000000010.stck"), b"garbage").unwrap();

@@ -122,6 +122,47 @@ fn auto_planner_training_trajectory_is_bitwise_scalar() {
     assert_eq!(collect_params("auto"), collect_params("scalar"));
 }
 
+/// One pruned training step of a small ResNet-18 on `im2row`, and one on
+/// `auto`, lands bit for bit on the `scalar` step: the loss and every
+/// parameter. The stage-entry 3×3 stride-2 convs and their 1×1 stride-2
+/// shortcuts take the im2row implicit-GEMM forward, so the strided
+/// forwards are pinned at model level, not only per kernel.
+#[test]
+fn pruned_resnet18_step_is_bitwise_scalar_on_im2row_and_auto() {
+    use sparsetrain_core::prune::PruneConfig;
+    let (train, _) = SyntheticSpec {
+        train_samples: 2,
+        test_samples: 0,
+        size: 16,
+        ..SyntheticSpec::cifar10_like()
+    }
+    .generate();
+    let step = |name: &str| -> (f64, Vec<f32>) {
+        let net = models::resnet18(3, 10, 4, Some(PruneConfig::paper_default()), 3);
+        let config = TrainConfig {
+            batch_size: 2,
+            ..TrainConfig::quick().with_engine_name(name)
+        };
+        let mut trainer = Trainer::new(net, config);
+        let loss = trainer.train_epoch(&train).loss;
+        let mut params = Vec::new();
+        trainer.network_mut().visit_params(&mut |w: &mut [f32], _| {
+            params.extend_from_slice(w);
+        });
+        (loss, params)
+    };
+    let (scalar_loss, scalar_params) = step("scalar");
+    for name in ["im2row", "auto"] {
+        let (loss, params) = step(name);
+        assert_eq!(loss.to_bits(), scalar_loss.to_bits(), "{name} loss");
+        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&params) == bits(&scalar_params),
+            "{name} parameters differ from scalar"
+        );
+    }
+}
+
 /// A replayed plan is honoured end to end: pin one conv's forward cell to
 /// `simd` through `ExecutionContext::with_plan`, train, and check the plan
 /// kept the pinned decision while the trajectory stayed bitwise scalar.

@@ -37,8 +37,8 @@
 //! `prepare_weight_grad`) and passes the resulting context by reference
 //! into every band worker. Backends use it to hoist per-call operand
 //! transformations — the simd engine's densified operand maps, the im2row
-//! engine's blocked patch matrix — above the fan-out, so `B` bands share
-//! one preparation instead of redoing it `B` times (the documented
+//! engine's zero-padded staged input — above the fan-out, so `B` bands
+//! share one preparation instead of redoing it `B` times (the documented
 //! few-percent loss of the earlier per-band densification).
 //!
 //! Beyond the convolutions, [`KernelEngine::for_each_batch_chunk`] is the
@@ -79,11 +79,12 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 /// the backend wants to hoist out of the bands:
 ///
 /// * `dense` — a densified copy of the call's sparse operand map
-///   (channel-major `C × H × W`; the simd engine's forward sweeps read it),
-/// * `patches` / `patch_len` / `dense_rows` — the im2row engine's blocked
-///   receptive-field patch matrix plus its per-output-row classification,
+///   (channel-major; the simd engine's forward sweeps read it as
+///   `C × H × W`, the im2row engine's micro-kernel as the zero-padded
+///   `C × (H + 2·pad) × (W + 2·pad)`),
 /// * `ext` — an arbitrary typed payload (the simd engine's GTW operands,
-///   or state of backends registered outside this crate).
+///   the im2row engine's per-output-row classification, or state of
+///   backends registered outside this crate).
 ///
 /// The scalar reference needs no preparation and returns an empty context;
 /// band workers must treat an empty context as "prepare locally or fall
@@ -94,16 +95,14 @@ use sparsetrain_tensor::{Tensor3, Tensor4};
 /// Memory tradeoff: the batched entry points hold **one context per
 /// sample** for the duration of the call (every sample's bands may run
 /// concurrently, so no context can be dropped early). With a preparing
-/// engine that is `batch × per-sample state` — e.g. the im2row patch
-/// matrix, `Oh·Ow·C·K²` floats per sample. Callers streaming very large
-/// batches through memory-hungry engines should split the batch; the
-/// per-call preparation cost is already amortized within each sub-batch.
+/// engine that is `batch × per-sample state` — e.g. the im2row staged
+/// input, `C·(H + 2·pad)·(W + 2·pad)` floats per sample. Callers
+/// streaming very large batches through memory-hungry engines should
+/// split the batch; the per-call preparation cost is already amortized
+/// within each sub-batch.
 #[derive(Debug, Default)]
 pub struct BandContext {
     dense: Vec<f32>,
-    patches: Vec<f32>,
-    patch_len: usize,
-    dense_rows: Vec<bool>,
     ext: Option<Box<dyn std::any::Any + Send + Sync>>,
 }
 
@@ -115,10 +114,11 @@ impl BandContext {
 
     /// Whether no prepared state is attached at all.
     pub fn is_empty(&self) -> bool {
-        self.dense.is_empty() && self.patches.is_empty() && self.ext.is_none()
+        self.dense.is_empty() && self.ext.is_none()
     }
 
-    /// Attaches a densified operand map (channel-major `C × H × W`).
+    /// Attaches a densified operand map (channel-major; the layout is the
+    /// preparing engine's, see the type docs).
     pub fn set_dense(&mut self, map: Vec<f32>) {
         self.dense = map;
     }
@@ -126,31 +126,6 @@ impl BandContext {
     /// The densified operand map, or `&[]` when none was prepared.
     pub fn dense(&self) -> &[f32] {
         &self.dense
-    }
-
-    /// Attaches an im2row patch matrix: one `patch_len`-wide row per
-    /// output position, plus the per-output-row flags saying which rows
-    /// were materialized (and thus qualify for the dense micro-kernel).
-    pub fn set_patches(&mut self, patches: Vec<f32>, patch_len: usize, dense_rows: Vec<bool>) {
-        self.patches = patches;
-        self.patch_len = patch_len;
-        self.dense_rows = dense_rows;
-    }
-
-    /// The im2row patch matrix, or `&[]` when none was prepared.
-    pub fn patches(&self) -> &[f32] {
-        &self.patches
-    }
-
-    /// Patch-row width of [`BandContext::patches`] (0 when none).
-    pub fn patch_len(&self) -> usize {
-        self.patch_len
-    }
-
-    /// Per-output-row micro-kernel eligibility flags (empty when no patch
-    /// matrix was prepared).
-    pub fn dense_rows(&self) -> &[bool] {
-        &self.dense_rows
     }
 
     /// Attaches an engine-specific payload.
@@ -564,7 +539,7 @@ pub trait KernelEngine: Send + Sync {
 // Shared shape validation
 // ---------------------------------------------------------------------------
 
-fn check_forward(
+pub(crate) fn check_forward(
     input: &SparseFeatureMap,
     weights: &Tensor4,
     bias: Option<&[f32]>,

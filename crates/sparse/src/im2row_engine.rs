@@ -1,53 +1,66 @@
-//! Cache-blocked im2row dense kernel engine (`"im2row"`).
+//! Register-blocked implicit-GEMM dense kernel engine (`"im2row"`).
 //!
 //! Early convolution layers are exactly where the sparse row kernels have
 //! the least to skip: activations enter nearly dense (the raw image, or a
 //! map before much ReLU sparsity has developed) and rows are wide. There a
-//! classic dense lowering wins — materialize every output position's
-//! receptive field as one contiguous **patch row** and reduce it against
-//! the kernel with a register-tiled dot product, so each patch element
-//! loaded from cache feeds [`TILE`] filters at once.
+//! classic dense lowering wins — reduce every output position's receptive
+//! field (its **patch row**, in im2row terms) against the kernel as one
+//! GEMM, blocked so each loaded weight vector feeds [`MR`] output
+//! positions and each loaded input element feeds [`TILE`] filters.
+//!
+//! The lowering is **implicit**: no patch matrix is ever materialised.
+//! Each sample's input is staged once into a zero-padded dense buffer
+//! `(C, H + 2·pad, W + 2·pad)`, and the micro-kernel reads patch element
+//! `(u, ci, v)` of output position `(oy, ox)` straight from it at padded
+//! coordinates `(ci, oy·stride + u, ox·stride + v)` — a fixed column offset
+//! plus a per-position base — so every stride, kernel size and pad takes
+//! the same kernel.
 //!
 //! [`Im2RowEngine`] does that lowering *without giving up bitwise parity*
 //! with [`crate::engine::ScalarEngine`]:
 //!
-//! * **Patch layout is the scalar order.** The scalar forward accumulates
+//! * **Columns walk the scalar order.** The scalar forward accumulates
 //!   each output pixel as `(kernel row u ascending, channel ci ascending,
-//!   tap v ascending)`, so patch columns are laid out `(u, ci, v)` — *not*
-//!   the `(ci, u, v)` of a textbook im2row (`sparsetrain_tensor::im2row`)
-//!   — and the per-filter kernel weights are repacked to match. Every
-//!   output element therefore accumulates its contributions in exactly
-//!   the scalar engine's per-element order, one two-rounding `acc + x·w`
-//!   at a time (multiply then add; no FMA contraction).
+//!   tap v ascending)`, so the micro-kernel's columns run `(u, ci, v)` —
+//!   *not* the `(ci, u, v)` of a textbook im2row
+//!   (`sparsetrain_tensor::im2row`) — and the per-filter kernel weights
+//!   are packed to match. Every output element therefore accumulates its
+//!   contributions in exactly the scalar engine's per-element order, one
+//!   two-rounding `acc + x·w` at a time (multiply then add; no FMA
+//!   contraction). The [`MR`] positions of a block are independent
+//!   accumulator chains, so the adds pipeline without reordering any one
+//!   element's sum.
 //! * **Extra zero terms are exact.** The dense reduction includes terms
 //!   the scalar kernels skip (stored-zero activations, zero kernel taps,
 //!   zero-padded window positions); each contributes `±0.0`, and an
 //!   accumulator that does not start as literal `-0.0` can never become
 //!   `-0.0` under round-to-nearest, so those adds are bit-exact no-ops.
-//! * **Everything else falls back to the scalar band code itself**:
-//!   strides ≠ 1, a literal `-0.0` bias (or pre-seeded accumulator), and
-//!   any output row fed by a row sparser than the density cutoff — so
-//!   parity is unconditional, enforced by the unmodified `engine_parity`
-//!   and `prune_determinism` suites.
+//! * **Everything else falls back to the scalar code itself**: a literal
+//!   `-0.0` bias (or pre-seeded accumulator) runs the scalar band, and any
+//!   output row fed by a row sparser than the density cutoff runs the
+//!   scalar row kernel ([`crate::src::src_accumulate`]) — so parity is
+//!   unconditional, enforced by the unmodified `engine_parity` and
+//!   `prune_determinism` suites.
 //!
-//! The patch matrix is built **once per engine call** into the
-//! [`BandContext`] by [`KernelEngine::prepare_forward`], above the band
-//! fan-out, and every band borrows it — under `"parallel:im2row"` the
-//! rayon bands share one lowering. Inside a band the loop order is
-//! filter-tile ⇒ output row ⇒ output position: the repacked weight tile
-//! (`patch_len × TILE` floats) stays register/L1-resident across a whole
-//! plane sweep while patch rows stream through, and each output row's
-//! patch block is reused by every tile — the cache blocking that gives the
-//! engine its name.
+//! The staged buffer and the per-output-row classification are built
+//! **once per engine call** into the [`BandContext`] by
+//! [`KernelEngine::prepare_forward`], above the band fan-out, and every
+//! band borrows them — under `"parallel:im2row"` the rayon bands share one
+//! staging. Each band packs its filters' weights into `TILE`-wide
+//! interleaved tiles; the batched entry point packs once for the whole
+//! batch and reuses one staging buffer across its samples. Inside a band
+//! the loop order is filter tile ⇒ position block: the packed tile
+//! (`C·K² × TILE` floats) stays cache-resident while the blocks of every
+//! dense output row stream past it.
 //!
 //! The **density cutoff** is the knob deciding when a row is worth the
-//! dense treatment: an output row takes the micro-kernel only when every
-//! in-bounds input row feeding it carries at least one non-zero per
-//! `cutoff` elements (density ≥ 1/cutoff, default 1/8 — the same
-//! break-even as the simd engine's sweeps) **or is empty** (empty rows
-//! cost the reduction only exact zero terms, so they never veto a row).
-//! [`Im2RowEngine::with_cutoff`] tunes it; output rows fed by
-//! below-cutoff rows keep the work-proportional sparse kernels.
+//! dense treatment: output row `oy` takes the micro-kernel only when every
+//! in-bounds input row feeding it (`iy = oy·stride − pad + u`) carries at
+//! least one non-zero per `cutoff` elements (density ≥ 1/cutoff, default
+//! 1/8 — the same break-even as the simd engine's sweeps) **or is empty**
+//! (empty rows cost the reduction only exact zero terms, so they never
+//! veto a row). [`Im2RowEngine::with_cutoff`] tunes it; output rows fed by
+//! below-cutoff rows keep the work-proportional sparse kernel.
 //!
 //! GTA and GTW inherit the scalar band defaults: the backward operand (the
 //! pruned output gradient) is sparse by construction, which is the regime
@@ -57,21 +70,27 @@
 //!
 //! Like the simd engine, the micro-kernel is runtime-dispatched between an
 //! x86_64 AVX2 implementation (`vmulps`/`vaddps`, never `vfmadd`) and a
-//! portable `[f32; TILE]` block the autovectorizer handles everywhere
-//! else; both produce identical bits and [`Im2RowEngine::portable`] pins
-//! the portable path.
+//! portable `[[f32; TILE]; MR]` block the autovectorizer handles
+//! everywhere else; both produce identical bits and
+//! [`Im2RowEngine::portable`] pins the portable path.
 
 use crate::compressed::SparseRow;
-use crate::engine::{scalar_forward_band, BandContext, KernelEngine};
+use crate::engine::{check_forward, scalar_forward_band, BandContext, KernelEngine};
 use crate::rowconv::SparseFeatureMap;
-use crate::simd_engine::{avx2_available, contains_negative_zero, densify_map};
+use crate::simd_engine::{avx2_available, contains_negative_zero};
 use crate::src::src_accumulate;
 use sparsetrain_tensor::conv::ConvGeometry;
-use sparsetrain_tensor::Tensor4;
+use sparsetrain_tensor::{Tensor3, Tensor4};
 
 /// Filters reduced per micro-kernel invocation (one AVX2 register of
-/// accumulators; the portable path uses the same block width).
+/// accumulators per output position; the portable path uses the same
+/// block width).
 pub const TILE: usize = 8;
+
+/// Output positions per micro-kernel invocation: `MR` independent
+/// accumulator chains, enough to hide the add latency behind the
+/// multiply/add throughput.
+pub const MR: usize = 8;
 
 /// Default density cutoff: a row qualifies for the dense lowering when it
 /// averages at least one non-zero per `8` elements — the break-even where
@@ -83,55 +102,282 @@ pub const DEFAULT_CUTOFF: usize = 8;
 // Micro-kernel
 // ---------------------------------------------------------------------------
 
-/// `acc[l] += wt[idx·TILE + l] · prow[idx]` for all `idx` ascending — the
-/// register-tiled patch-row reduction. Each accumulator's chain is the
-/// scalar per-element order; the lanes are independent filters.
-fn tile_kernel(avx2: bool, acc: &mut [f32; TILE], prow: &[f32], wt: &[f32]) {
-    debug_assert_eq!(wt.len(), prow.len() * TILE);
+/// One `MR × TILE` block of the implicit GEMM:
+/// `acc[m][l] += wt[idx·TILE + l] · src[bases[m] + offs[idx]]` for all
+/// `idx` ascending. Each accumulator's chain is the scalar per-element
+/// order; positions and lanes are independent.
+///
+/// # Panics
+///
+/// Panics if a read would fall outside `src` or `wt` is shorter than
+/// `offs.len() · TILE`.
+fn block_kernel(
+    avx2: bool,
+    acc: &mut [[f32; TILE]; MR],
+    src: &[f32],
+    bases: &[usize; MR],
+    cols: &Columns,
+    wt: &[f32],
+) {
+    let top = bases.iter().max().expect("MR > 0");
+    assert!(top + cols.reach < src.len(), "block reads past the staged input");
+    assert!(wt.len() >= cols.offs.len() * TILE, "weight tile too short");
     #[cfg(target_arch = "x86_64")]
     if avx2 {
         // SAFETY: `avx2` is only true when runtime detection reported
-        // AVX2+FMA support for this process.
-        unsafe { tile_kernel_avx2(acc, prow, wt) };
+        // AVX2+FMA support for this process, and the asserts above bound
+        // every read: `bases[m] + offs[idx] ≤ top + reach < src.len()` and
+        // `idx·TILE + TILE ≤ wt.len()`.
+        unsafe { block_kernel_avx2(acc, src, bases, &cols.offs, wt) };
         return;
     }
     let _ = avx2;
-    tile_kernel_portable(acc, prow, wt);
+    block_kernel_portable(acc, src, bases, &cols.offs, wt);
 }
 
-/// Portable block micro-kernel: the fixed `[f32; TILE]` accumulator keeps
-/// the inner loop trip-count-free so LLVM emits one vector multiply and
-/// one vector add per patch element on every target.
-fn tile_kernel_portable(acc: &mut [f32; TILE], prow: &[f32], wt: &[f32]) {
-    for (x, wv) in prow.iter().zip(wt.chunks_exact(TILE)) {
+/// Portable block micro-kernel: the fixed `[f32; TILE]` rows keep the
+/// inner loop trip-count-free so LLVM emits one vector multiply and one
+/// vector add per (column, position) on every target.
+fn block_kernel_portable(
+    acc: &mut [[f32; TILE]; MR],
+    src: &[f32],
+    bases: &[usize; MR],
+    offs: &[usize],
+    wt: &[f32],
+) {
+    for (&o, wv) in offs.iter().zip(wt.chunks_exact(TILE)) {
         let wv: &[f32; TILE] = wv.try_into().expect("exact chunk");
-        for l in 0..TILE {
-            acc[l] += wv[l] * *x;
+        for (a, &b) in acc.iter_mut().zip(bases) {
+            let x = src[b + o];
+            for l in 0..TILE {
+                a[l] += wv[l] * x;
+            }
         }
     }
 }
 
+/// The AVX2 twin of [`block_kernel_portable`], bitwise equal to it.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, every `bases[m] + offs[idx]` must index
+/// into `src`, and `wt` must hold at least `offs.len() · TILE` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tile_kernel_avx2(acc: &mut [f32; TILE], prow: &[f32], wt: &[f32]) {
+unsafe fn block_kernel_avx2(
+    acc: &mut [[f32; TILE]; MR],
+    src: &[f32],
+    bases: &[usize; MR],
+    offs: &[usize],
+    wt: &[f32],
+) {
     use std::arch::x86_64::*;
-    let mut a = _mm256_loadu_ps(acc.as_ptr());
-    for (idx, &x) in prow.iter().enumerate() {
-        let xv = _mm256_set1_ps(x);
-        let wv = _mm256_loadu_ps(wt.as_ptr().add(idx * TILE));
-        // Deliberately vmulps + vaddps, not vfmadd: the scalar reference
-        // rounds the product before the add.
-        a = _mm256_add_ps(a, _mm256_mul_ps(wv, xv));
+    let mut a = [_mm256_setzero_ps(); MR];
+    for (r, row) in a.iter_mut().zip(acc.iter()) {
+        *r = _mm256_loadu_ps(row.as_ptr());
     }
-    _mm256_storeu_ps(acc.as_mut_ptr(), a);
+    for (idx, &o) in offs.iter().enumerate() {
+        let wv = _mm256_loadu_ps(wt.as_ptr().add(idx * TILE));
+        let col = src.as_ptr().add(o);
+        for (r, &b) in a.iter_mut().zip(bases) {
+            let xv = _mm256_broadcast_ss(&*col.add(b));
+            // Deliberately vmulps + vaddps, not vfmadd: the scalar
+            // reference rounds the product before the add.
+            *r = _mm256_add_ps(*r, _mm256_mul_ps(wv, xv));
+        }
+    }
+    for (r, row) in a.iter().zip(acc.iter_mut()) {
+        _mm256_storeu_ps(row.as_mut_ptr(), *r);
+    }
+}
+
+/// The implicit-GEMM column walk of one geometry: `offs[idx]` is the
+/// staged-buffer offset of patch column `idx = (u·C + ci)·K + v`, relative
+/// to an output position's base, and `reach` the largest of them.
+struct Columns {
+    offs: Vec<usize>,
+    reach: usize,
+}
+
+impl Columns {
+    fn new(c: usize, k: usize, hp: usize, wp: usize) -> Self {
+        let mut offs = Vec::with_capacity(c * k * k);
+        for u in 0..k {
+            for ci in 0..c {
+                let row = ci * hp * wp + u * wp;
+                offs.extend(row..row + k);
+            }
+        }
+        let reach = offs.iter().copied().max().unwrap_or(0);
+        Self { offs, reach }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Operand preparation
+// ---------------------------------------------------------------------------
+
+/// The forward classification an im2row preparation attaches to its
+/// [`BandContext`]: `rows[oy]` says whether output row `oy` takes the
+/// micro-kernel. Its presence also marks `ctx.dense()` as this engine's
+/// zero-padded staging (empty when no row qualifies), so a context
+/// prepared by another engine is never misread.
+struct DenseRows(Vec<bool>);
+
+/// Stages `input` into `buf` as a zero-padded dense `(C, H + 2·pad,
+/// W + 2·pad)` map, reusing its allocation.
+fn stage_padded(input: &SparseFeatureMap, pad: usize, buf: &mut Vec<f32>) {
+    let (h, w) = (input.height(), input.width());
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    buf.clear();
+    buf.resize(input.channels() * hp * wp, 0.0);
+    for (r, row) in input.rows().enumerate() {
+        let (ci, iy) = (r / h, r % h);
+        let dst = &mut buf[ci * hp * wp + (iy + pad) * wp + pad..][..w];
+        for (ix, val) in row.iter() {
+            dst[ix] = val;
+        }
+    }
+}
+
+/// Packs filters `f_lo..f_lo + n` into `TILE`-wide interleaved tiles:
+/// tile `t` holds filters `f_lo + t·TILE ..`, laid out
+/// `wt[idx · TILE + lane] = W[filter lane][idx]` with `idx` walking the
+/// column order `(u, ci, v)`; lanes past the last filter stay zero.
+fn pack_weights(weights: &Tensor4, f_lo: usize, n: usize) -> Vec<f32> {
+    let (_, c, k, _) = weights.shape();
+    let plen = c * k * k;
+    if plen == 0 {
+        return Vec::new();
+    }
+    let mut wt = vec![0.0f32; n.div_ceil(TILE) * plen * TILE];
+    for (t, dst) in wt.chunks_mut(plen * TILE).enumerate() {
+        for l in 0..TILE.min(n - t * TILE) {
+            let fi = f_lo + t * TILE + l;
+            for u in 0..k {
+                for ci in 0..c {
+                    let base = (u * c + ci) * k * TILE;
+                    for (v, &wv) in weights.kernel_row(fi, ci, u).iter().enumerate() {
+                        dst[base + v * TILE + l] = wv;
+                    }
+                }
+            }
+        }
+    }
+    wt
+}
+
+/// Whether the seed every output element starts from — the bias, or with
+/// none the pre-seeded accumulator — holds a literal `-0.0`, which only
+/// the scalar skips preserve.
+fn seeds_negative_zero(bias: Option<&[f32]>, out_band: &[f32]) -> bool {
+    match bias {
+        Some(b) => contains_negative_zero(b),
+        None => contains_negative_zero(out_band),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Band computation
+// ---------------------------------------------------------------------------
+
+/// The forward rows of filters `f_lo..f_lo + n` into `out_band` (`n`
+/// contiguous pre-seeded `oh × ow` planes). `padded` is the call's staged
+/// input (read only when some row is dense), `rows` the per-output-row
+/// classification and `packed` the band's weight tiles from
+/// [`pack_weights`]`(weights, f_lo, n)`.
+#[allow(clippy::too_many_arguments)]
+fn forward_rows(
+    avx2: bool,
+    padded: &[f32],
+    rows: &[bool],
+    packed: &[f32],
+    input: &SparseFeatureMap,
+    weights: &Tensor4,
+    bias: Option<&[f32]>,
+    geom: ConvGeometry,
+    oh: usize,
+    ow: usize,
+    f_lo: usize,
+    out_band: &mut [f32],
+) {
+    let plane = oh * ow;
+    let n = out_band.len() / plane;
+    let (c, h, w) = (input.channels(), input.height(), input.width());
+    let (k, stride, pad) = (geom.kernel, geom.stride, geom.pad);
+    // Bias fill for every plane of the band (the scalar prologue), then the
+    // output rows below the cutoff: the scalar row loops, per plane —
+    // work-proportional on sparse data, bitwise the reference.
+    for (bf, p) in out_band.chunks_mut(plane).enumerate() {
+        let fi = f_lo + bf;
+        if let Some(b) = bias {
+            p.fill(b[fi]);
+        }
+        for (oy, out_row) in p.chunks_mut(ow).enumerate() {
+            if rows[oy] {
+                continue;
+            }
+            for u in 0..k {
+                let iy = (oy * stride + u) as isize - pad as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                for ci in 0..c {
+                    let krow = weights.kernel_row(fi, ci, u);
+                    src_accumulate(input.row(ci, iy as usize), krow, geom, out_row);
+                }
+            }
+        }
+    }
+    // Dense rows: every output position, blocked MR at a time across row
+    // ends; a short final block repeats the last position, whose repeats'
+    // results are never stored.
+    let out_pos: Vec<usize> = (0..oh)
+        .filter(|&oy| rows[oy])
+        .flat_map(|oy| oy * ow..(oy + 1) * ow)
+        .collect();
+    let Some(&last) = out_pos.last() else { return };
+    let wp = w + 2 * pad;
+    let bases: Vec<usize> = out_pos
+        .iter()
+        .chain(std::iter::repeat(&last))
+        .take(out_pos.len().next_multiple_of(MR))
+        .map(|&pos| (pos / ow) * stride * wp + (pos % ow) * stride)
+        .collect();
+    let cols = Columns::new(c, k, h + 2 * pad, wp);
+    // Position-major accumulators of one filter tile: each block's
+    // `MR × TILE` seeds are contiguous, and the filter planes are read and
+    // written once per tile in a streaming pass.
+    let mut acc = vec![[0.0f32; TILE]; bases.len()];
+    for (t, wtile) in packed.chunks_exact(cols.offs.len() * TILE).enumerate() {
+        let t0 = t * TILE;
+        let tile_n = TILE.min(n - t0);
+        for l in 0..tile_n {
+            let p = &out_band[(t0 + l) * plane..(t0 + l + 1) * plane];
+            for (a, &pos) in acc.iter_mut().zip(&out_pos) {
+                a[l] = p[pos];
+            }
+        }
+        for (block, bases) in acc.chunks_exact_mut(MR).zip(bases.chunks_exact(MR)) {
+            let block: &mut [[f32; TILE]; MR] = block.try_into().expect("exact chunk");
+            let bases: &[usize; MR] = bases.try_into().expect("exact chunk");
+            block_kernel(avx2, block, padded, bases, &cols, wtile);
+        }
+        for l in 0..tile_n {
+            let p = &mut out_band[(t0 + l) * plane..(t0 + l + 1) * plane];
+            for (a, &pos) in acc.iter().zip(&out_pos) {
+                p[pos] = a[l];
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Im2RowEngine
 // ---------------------------------------------------------------------------
 
-/// The cache-blocked im2row engine, registered as `"im2row"` (and, banded
-/// across threads, as `"parallel:im2row"`).
+/// The register-blocked implicit-GEMM engine, registered as `"im2row"`
+/// (and, banded across threads, as `"parallel:im2row"`).
 ///
 /// ```
 /// use sparsetrain_sparse::{registry, Im2RowEngine};
@@ -152,14 +398,6 @@ impl Default for Im2RowEngine {
     fn default() -> Self {
         Self::auto()
     }
-}
-
-/// The forward lowering of one engine call: the patch matrix, its row
-/// width, and which output rows qualified for the micro-kernel.
-struct ForwardPlan {
-    patches: Vec<f32>,
-    plen: usize,
-    dense_rows: Vec<bool>,
 }
 
 impl Im2RowEngine {
@@ -214,111 +452,35 @@ impl Im2RowEngine {
         row.nnz().saturating_mul(self.cutoff) >= row.len()
     }
 
-    /// Builds the call's forward lowering, or `None` when no output row
-    /// qualifies (the whole call routes to the scalar band code). Only
-    /// valid at stride 1 — the caller guards.
-    fn build_forward_plan(
-        &self,
-        input: &SparseFeatureMap,
-        geom: ConvGeometry,
-        oh: usize,
-        ow: usize,
-    ) -> Option<ForwardPlan> {
-        let (c, h, w) = (input.channels(), input.height(), input.width());
-        let (k, pad) = (geom.kernel, geom.pad as isize);
-        let plen = c * k * k;
-        if plen == 0 || oh * ow == 0 {
-            return None;
+    /// Which of the `oh` output rows take the micro-kernel: those whose
+    /// every in-bounds input row (all channels, all `K` kernel rows)
+    /// meets the density cutoff or is empty. Empty rows cost the
+    /// micro-kernel only exact `±0.0` terms, so they must not disqualify a
+    /// row — on 8-wide mid-stack layers a single empty row among hundreds
+    /// of contributors would otherwise veto every output row.
+    /// A map without channels has nothing to reduce and takes no row.
+    fn dense_rows(&self, input: &SparseFeatureMap, geom: ConvGeometry, oh: usize) -> Vec<bool> {
+        let h = input.height();
+        if input.channels() == 0 {
+            return vec![false; oh];
         }
-        // An output row qualifies iff every in-bounds input row feeding it
-        // (all channels, all k kernel rows) meets the density cutoff or is
-        // empty. Empty rows cost the micro-kernel only exact `±0.0` terms
-        // (their patch columns stay zero), so they must not disqualify a
-        // row — on 8-wide mid-stack layers a single empty row among
-        // hundreds of contributors would otherwise veto every output row.
         let row_ok: Vec<bool> = (0..h)
             .map(|iy| {
-                (0..c).all(|ci| {
+                (0..input.channels()).all(|ci| {
                     let row = input.row(ci, iy);
                     row.nnz() == 0 || self.row_worthy(row)
                 })
             })
             .collect();
-        let dense_rows: Vec<bool> = (0..oh)
+        (0..oh)
             .map(|oy| {
-                (0..k).all(|u| {
-                    let iy = oy as isize - pad + u as isize;
+                (0..geom.kernel).all(|u| {
+                    let iy = (oy * geom.stride + u) as isize - geom.pad as isize;
                     iy < 0 || iy >= h as isize || row_ok[iy as usize]
                 })
             })
-            .collect();
-        if !dense_rows.iter().any(|&d| d) {
-            return None;
-        }
-        // Dense staging for the worthy rows, then window copies into the
-        // (u, ci, v)-ordered patch rows; padding stays zero.
-        let dense = densify_map(input, |row| self.row_worthy(row));
-        let mut patches = vec![0.0f32; oh * ow * plen];
-        for (oy, patch_plane) in patches.chunks_mut(ow * plen).enumerate() {
-            if !dense_rows[oy] {
-                continue;
-            }
-            for (ox, prow) in patch_plane.chunks_mut(plen).enumerate() {
-                let ix0 = ox as isize - pad;
-                for u in 0..k {
-                    let iy = oy as isize - pad + u as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let drow = &dense[(iy as usize) * w..];
-                    for ci in 0..c {
-                        let drow = &drow[ci * h * w..ci * h * w + w];
-                        let dst = &mut prow[(u * c + ci) * k..(u * c + ci + 1) * k];
-                        if ix0 >= 0 && ix0 as usize + k <= w {
-                            dst.copy_from_slice(&drow[ix0 as usize..ix0 as usize + k]);
-                        } else {
-                            for (v, d) in dst.iter_mut().enumerate() {
-                                let ix = ix0 + v as isize;
-                                if ix >= 0 && (ix as usize) < w {
-                                    *d = drow[ix as usize];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Some(ForwardPlan {
-            patches,
-            plen,
-            dense_rows,
-        })
+            .collect()
     }
-}
-
-/// Repacks the band's kernel weights into per-tile interleaved columns:
-/// tile `t` holds filters `f_lo + t·TILE ..`, laid out
-/// `wt[idx · TILE + lane] = W[filter lane][idx]` with `idx` walking the
-/// patch order `(u, ci, v)`; lanes past the band edge stay zero.
-fn interleave_weights(weights: &Tensor4, f_lo: usize, n: usize, c: usize, k: usize) -> Vec<f32> {
-    let plen = c * k * k;
-    let tiles = n.div_ceil(TILE);
-    let mut wt = vec![0.0f32; tiles * plen * TILE];
-    for (t, dst) in wt.chunks_mut(plen * TILE).enumerate() {
-        for l in 0..TILE.min(n - t * TILE) {
-            let fi = f_lo + t * TILE + l;
-            for u in 0..k {
-                for ci in 0..c {
-                    let krow = weights.kernel_row(fi, ci, u);
-                    let base = (u * c + ci) * k * TILE;
-                    for (v, &wv) in krow.iter().enumerate() {
-                        dst[base + v * TILE + l] = wv;
-                    }
-                }
-            }
-        }
-    }
-    wt
 }
 
 impl KernelEngine for Im2RowEngine {
@@ -333,16 +495,21 @@ impl KernelEngine for Im2RowEngine {
         bias: Option<&[f32]>,
         geom: ConvGeometry,
     ) -> BandContext {
+        let oh = geom.output_extent(input.height());
+        // A literal -0.0 bias sends every band to the scalar code, so no
+        // row is classified dense and nothing is staged.
+        let rows = if bias.is_some_and(contains_negative_zero) {
+            vec![false; oh]
+        } else {
+            self.dense_rows(input, geom, oh)
+        };
         let mut ctx = BandContext::empty();
-        // When every band will fall back anyway (stride ≠ 1, literal -0.0
-        // bias), the lowering would be wasted work.
-        if geom.stride == 1 && !bias.is_some_and(contains_negative_zero) {
-            let oh = geom.output_extent(input.height());
-            let ow = geom.output_extent(input.width());
-            if let Some(plan) = self.build_forward_plan(input, geom, oh, ow) {
-                ctx.set_patches(plan.patches, plan.plen, plan.dense_rows);
-            }
+        if rows.contains(&true) {
+            let mut padded = Vec::new();
+            stage_padded(input, geom.pad, &mut padded);
+            ctx.set_dense(padded);
         }
+        ctx.set_ext(DenseRows(rows));
         ctx
     }
 
@@ -358,90 +525,73 @@ impl KernelEngine for Im2RowEngine {
         f_lo: usize,
         out_band: &mut [f32],
     ) {
-        // Stride ≠ 1 and literal -0.0 seeds (bias, or the pre-seeded
-        // accumulator when there is none) are only preserved by the scalar
-        // skips.
-        if geom.stride != 1
-            || match bias {
-                Some(b) => contains_negative_zero(b),
-                None => contains_negative_zero(out_band),
-            }
-        {
+        if seeds_negative_zero(bias, out_band) {
             scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
             return;
         }
-        // Borrow the lowering the call prepared once above the band
-        // fan-out; rebuild locally only when invoked without one.
+        // Borrow the staging the call prepared once above the band
+        // fan-out; prepare locally only when invoked without one.
         let local;
-        let (patches, plen, dense_rows): (&[f32], usize, &[bool]) = if ctx.patch_len() != 0 {
-            (ctx.patches(), ctx.patch_len(), ctx.dense_rows())
+        let ctx = if ctx.ext::<DenseRows>().is_some() {
+            ctx
         } else {
-            match self.build_forward_plan(input, geom, oh, ow) {
-                Some(plan) => {
-                    local = plan;
-                    (&local.patches, local.plen, &local.dense_rows)
-                }
-                None => {
-                    scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
-                    return;
-                }
-            }
+            local = self.prepare_forward(input, weights, bias, geom);
+            &local
         };
-        let plane = oh * ow;
-        let n = out_band.len() / plane;
-        let (c, k) = (input.channels(), geom.kernel);
-        let h = input.height() as isize;
+        let DenseRows(rows) = ctx
+            .ext::<DenseRows>()
+            .expect("im2row preparation attaches its rows");
+        let packed = if rows.contains(&true) {
+            pack_weights(weights, f_lo, out_band.len() / (oh * ow))
+        } else {
+            Vec::new()
+        };
+        forward_rows(
+            self.use_avx2(),
+            ctx.dense(),
+            rows,
+            &packed,
+            input,
+            weights,
+            bias,
+            geom,
+            oh,
+            ow,
+            f_lo,
+            out_band,
+        );
+    }
+
+    /// One weight packing for the whole batch and one staging buffer
+    /// reused by every sample; each sample's result is exactly
+    /// `forward_into`'s.
+    fn forward_batch_into(
+        &self,
+        inputs: &[SparseFeatureMap],
+        weights: &Tensor4,
+        bias: Option<&[f32]>,
+        geom: ConvGeometry,
+        outs: &mut [Tensor3],
+    ) {
+        assert_eq!(inputs.len(), outs.len(), "batch length mismatch");
+        let packed = pack_weights(weights, 0, weights.filters());
+        let mut padded = Vec::new();
         let avx2 = self.use_avx2();
-        // Bias fill for every plane of the band (the scalar prologue).
-        if let Some(b) = bias {
-            for (bf, p) in out_band.chunks_mut(plane).enumerate() {
-                p.fill(b[f_lo + bf]);
+        for (input, out) in inputs.iter().zip(outs.iter_mut()) {
+            check_forward(input, weights, bias, geom, out);
+            let (_, oh, ow) = out.shape();
+            let out = out.as_mut_slice();
+            if seeds_negative_zero(bias, out) {
+                scalar_forward_band(input, weights, bias, geom, oh, ow, 0, out);
+                continue;
             }
-        }
-        // Output rows below the cutoff: the scalar row loops, per plane —
-        // work-proportional on sparse data, bitwise the reference.
-        for (bf, p) in out_band.chunks_mut(plane).enumerate() {
-            let fi = f_lo + bf;
-            for (oy, out_row) in p.chunks_mut(ow).enumerate() {
-                if dense_rows[oy] {
-                    continue;
-                }
-                for u in 0..k {
-                    let iy = oy as isize - geom.pad as isize + u as isize;
-                    if iy < 0 || iy >= h {
-                        continue;
-                    }
-                    for ci in 0..c {
-                        let krow = weights.kernel_row(fi, ci, u);
-                        src_accumulate(input.row(ci, iy as usize), krow, geom, out_row);
-                    }
-                }
+            let rows = self.dense_rows(input, geom, oh);
+            if rows.contains(&true) {
+                stage_padded(input, geom.pad, &mut padded);
             }
-        }
-        // Dense rows: register-tiled reduction, TILE filters per pass.
-        // Loop order tile ⇒ row ⇒ position keeps the weight tile hot in
-        // L1 while each row's patch block is re-swept by every tile.
-        let wt = interleave_weights(weights, f_lo, n, c, k);
-        for (t, wtile) in wt.chunks(plen * TILE).enumerate() {
-            let t0 = t * TILE;
-            let tile_n = TILE.min(n - t0);
-            for oy in 0..oh {
-                if !dense_rows[oy] {
-                    continue;
-                }
-                for ox in 0..ow {
-                    let pos = oy * ow + ox;
-                    let prow = &patches[pos * plen..(pos + 1) * plen];
-                    let mut acc = [0.0f32; TILE];
-                    for (l, a) in acc.iter_mut().enumerate().take(tile_n) {
-                        *a = out_band[(t0 + l) * plane + pos];
-                    }
-                    tile_kernel(avx2, &mut acc, prow, wtile);
-                    for (l, a) in acc.iter().enumerate().take(tile_n) {
-                        out_band[(t0 + l) * plane + pos] = *a;
-                    }
-                }
-            }
+            forward_rows(
+                avx2, &padded, &rows, &packed, input, weights, bias, geom, oh, ow, 0, out,
+            );
         }
     }
 }
@@ -476,9 +626,20 @@ mod tests {
     }
 
     fn fixtures(seed: u64, density_pct: u64, geom: ConvGeometry) -> (SparseFeatureMap, Tensor4, Vec<f32>) {
+        fixtures_sized(seed, density_pct, geom, (3, 9, 11), 10)
+    }
+
+    /// A `(c, h, w)` input at `density_pct` and `f` filters.
+    fn fixtures_sized(
+        seed: u64,
+        density_pct: u64,
+        geom: ConvGeometry,
+        (c, h, w): (usize, usize, usize),
+        f: usize,
+    ) -> (SparseFeatureMap, Tensor4, Vec<f32>) {
         let mut s = seed;
-        let input = sparse_tensor(3, 9, 11, density_pct, &mut s);
-        let weights = Tensor4::from_fn(10, 3, geom.kernel, geom.kernel, |_, _, _, _| {
+        let input = sparse_tensor(c, h, w, density_pct, &mut s);
+        let weights = Tensor4::from_fn(f, c, geom.kernel, geom.kernel, |_, _, _, _| {
             // Sprinkle exact zeros so the scalar w == 0 tap skip meets the
             // dense reduction's zero terms.
             let v = pseudo(&mut s);
@@ -488,7 +649,7 @@ mod tests {
                 v
             }
         });
-        let bias: Vec<f32> = (0..10).map(|_| pseudo(&mut s)).collect();
+        let bias: Vec<f32> = (0..f).map(|_| pseudo(&mut s)).collect();
         (SparseFeatureMap::from_tensor(&input), weights, bias)
     }
 
@@ -501,8 +662,8 @@ mod tests {
 
     /// Dense, mixed and very sparse fixtures across geometries (micro-
     /// kernel, mixed dense/sparse rows, whole-call sparse fallback, stride
-    /// fallback): every path must match the scalar reference bitwise. A
-    /// filter count of 10 exercises the partial final tile (10 = 8 + 2).
+    /// 2): every path must match the scalar reference bitwise. A filter
+    /// count of 10 exercises the partial final tile (10 = 8 + 2).
     #[test]
     fn im2row_matches_scalar_bitwise_on_all_paths() {
         for geom in [
@@ -644,6 +805,147 @@ mod tests {
             assert_eq!(auto.active_path(), "avx2");
         } else {
             assert_eq!(auto.active_path(), "portable");
+        }
+    }
+
+    /// Asserts that `label`'s forward is bitwise the scalar reference on
+    /// every im2row path — portable and dispatched, direct, batched (one
+    /// packing for the batch) and under `parallel:im2row` at 1, 2, 3 and 8
+    /// bands — with and without bias.
+    fn assert_all_paths_match_scalar(
+        label: &str,
+        input: &SparseFeatureMap,
+        weights: &Tensor4,
+        bias: &[f32],
+        geom: ConvGeometry,
+    ) {
+        static AUTO: Im2RowEngine = Im2RowEngine::auto();
+        static PORTABLE: Im2RowEngine = Im2RowEngine::portable();
+        for bias in [Some(bias), None] {
+            let want = ScalarEngine.forward(input, weights, bias, geom);
+            let ctx = format!("{label} bias={}", bias.is_some());
+            for (path, engine) in [("auto", &AUTO), ("portable", &PORTABLE)] {
+                let got = engine.forward(input, weights, bias, geom);
+                assert_eq!(got.as_slice(), want.as_slice(), "{ctx} {path}");
+                let batch = [input.clone(), input.clone()];
+                for got in engine.forward_batch(&batch, weights, bias, geom) {
+                    assert_eq!(got.as_slice(), want.as_slice(), "{ctx} {path} batched");
+                }
+                for bands in [1usize, 2, 3, 8] {
+                    let banded = ParallelEngine::over("test:parallel-im2row", engine).banded(bands);
+                    let got = banded.forward(input, weights, bias, geom);
+                    assert_eq!(got.as_slice(), want.as_slice(), "{ctx} {path} {bands} bands");
+                }
+            }
+        }
+    }
+
+    /// The implicit GEMM at every stride, kernel size and pad the models
+    /// use and a few they do not: stride 2 and 3, the 1×1 stride-2 pad-0
+    /// shortcut, k = 2 without pad and k = 5 with pad 2, at dense and mixed
+    /// densities, with filter counts that are not a multiple of `TILE`.
+    #[test]
+    fn strided_and_odd_geometries_match_scalar() {
+        for (k, stride, pad) in [
+            (3, 2, 1),
+            (3, 3, 1),
+            (1, 2, 0),
+            (2, 1, 0),
+            (2, 2, 0),
+            (5, 1, 2),
+            (5, 2, 2),
+        ] {
+            let geom = ConvGeometry::new(k, stride, pad);
+            for (density, filters) in [(100u64, 5usize), (60, 10), (25, 17)] {
+                let label = format!("k={k} s={stride} p={pad} d={density} f={filters}");
+                let (input, weights, bias) =
+                    fixtures_sized(11 + density + k as u64, density, geom, (3, 13, 14), filters);
+                assert_all_paths_match_scalar(&label, &input, &weights, &bias, geom);
+            }
+        }
+    }
+
+    /// Output widths 1 … MR+1 at one and at three output rows: the dense
+    /// positions' count runs through every remainder of a block, and
+    /// blocks straddle row ends.
+    #[test]
+    fn every_block_remainder_matches_scalar() {
+        for (stride, rows) in [(1usize, 1usize), (1, 3), (2, 1), (2, 3)] {
+            let geom = ConvGeometry::new(3, stride, 1);
+            for ow in 1..=MR + 1 {
+                // Input extents that give exactly `rows` × `ow` outputs.
+                let (h, w) = ((rows - 1) * stride + 1, (ow - 1) * stride + 1);
+                let (input, weights, bias) = fixtures_sized(ow as u64, 100, geom, (2, h, w), 9);
+                assert_eq!(geom.output_extent(w), ow);
+                let label = format!("s={stride} rows={rows} ow={ow}");
+                assert_all_paths_match_scalar(&label, &input, &weights, &bias, geom);
+            }
+        }
+    }
+
+    /// Stride 2 over a map whose rows alternate between dense and far
+    /// below the cutoff: some output rows take the micro-kernel and some
+    /// the sparse fallback, within one plane.
+    #[test]
+    fn mixed_dense_and_sparse_rows_at_stride_two() {
+        let geom = ConvGeometry::new(3, 2, 1);
+        // Rows 0..4 dense, 4..6 one non-zero in 24, 6.. dense again.
+        let input = SparseFeatureMap::from_tensor(&Tensor3::from_fn(3, 12, 24, |c, y, x| {
+            if (4..6).contains(&y) {
+                if x == 5 + c {
+                    -0.5 - y as f32 * 0.125
+                } else {
+                    0.0
+                }
+            } else {
+                0.25 + ((c * 7 + y * 3 + x) % 11) as f32 * 0.0625
+            }
+        }));
+        let weights = Tensor4::from_fn(11, 3, 3, 3, |f, c, u, v| {
+            ((f * 5 + c * 3 + u * 2 + v) % 7) as f32 * 0.25 - 0.75
+        });
+        let bias: Vec<f32> = (0..11).map(|f| f as f32 * 0.125 - 0.5).collect();
+        let rows = Im2RowEngine::auto().dense_rows(&input, geom, geom.output_extent(12));
+        // Output row oy reads input rows 2·oy − 1 ..= 2·oy + 1.
+        assert_eq!(rows, [true, true, false, false, true, true]);
+        assert_all_paths_match_scalar("mixed stride 2", &input, &weights, &bias, geom);
+    }
+
+    /// The batched entry point keeps `forward_into`'s per-sample
+    /// semantics: samples of different densities share one packing and
+    /// one staging buffer, and a sample whose pre-seeded accumulator holds
+    /// a literal -0.0 takes the scalar code alone.
+    #[test]
+    fn batched_forward_matches_per_sample_scalar() {
+        let geom = ConvGeometry::new(3, 2, 1);
+        let inputs: Vec<SparseFeatureMap> = [100u64, 3, 60]
+            .iter()
+            .map(|&d| fixtures_sized(d, d, geom, (3, 9, 11), 10).0)
+            .collect();
+        let (_, weights, _) = fixtures_sized(1, 100, geom, (3, 9, 11), 10);
+        let seed = |i: usize| {
+            Tensor3::from_fn(10, 5, 6, |f, y, x| {
+                if (f + y + x + i).is_multiple_of(4) {
+                    -0.0
+                } else {
+                    0.5
+                }
+            })
+        };
+        for engine in [Im2RowEngine::auto(), Im2RowEngine::portable()] {
+            let mut want: Vec<Tensor3> = (0..3).map(seed).collect();
+            let mut got = want.clone();
+            // Sample 0's seeds stay plain.
+            want[0] = Tensor3::zeros(10, 5, 6);
+            got[0] = Tensor3::zeros(10, 5, 6);
+            for (input, out) in inputs.iter().zip(want.iter_mut()) {
+                ScalarEngine.forward_into(input, &weights, None, geom, out);
+            }
+            engine.forward_batch_into(&inputs, &weights, None, geom, &mut got);
+            let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(bits(g), bits(w), "{}", engine.active_path());
+            }
         }
     }
 

@@ -56,7 +56,7 @@
 //!   band methods ([`KernelEngine::forward_band`] and friends), so
 //!   thread-level and lane-level parallelism compose.
 //! * [`engine::BandContext`] — the **band-context seam**: per-call operand
-//!   state (densified rows, im2row patch matrices, engine-specific
+//!   state (densified rows, the im2row staged input, engine-specific
 //!   payloads) built exactly once by the inner engine's `prepare_*` hooks
 //!   ([`KernelEngine::prepare_forward`] and friends) *above* the band
 //!   fan-out, then shared by reference across every band — so banding an
@@ -72,13 +72,15 @@
 //!   stride, with work proportional to the gradient's non-zeros; forward
 //!   rows too sparse to densify, forward strides ≠ 1, and `-0.0` seeds
 //!   fall back to the scalar code itself.
-//! * [`im2row_engine::Im2RowEngine`] — the cache-blocked dense lowering
-//!   for dense early layers: receptive fields are materialized once per
-//!   call into `(u, ci, v)`-ordered patch rows (the scalar accumulation
-//!   order, so parity stays bitwise) inside the [`engine::BandContext`],
-//!   and a register-tiled micro-kernel reduces each patch row against
-//!   eight filters at a time. Output rows fed by rows below the density
-//!   cutoff, strides ≠ 1 and `-0.0` seeds keep the sparse scalar path.
+//! * [`im2row_engine::Im2RowEngine`] — the implicit-GEMM dense lowering
+//!   for dense forward layers at any stride, kernel and pad: each sample is
+//!   staged once per call into a zero-padded dense map inside the
+//!   [`engine::BandContext`], and a register-blocked micro-kernel reads
+//!   receptive fields straight from it — no patch matrix — in `(u, ci, v)`
+//!   column order (the scalar accumulation order, so parity stays
+//!   bitwise), eight output positions by eight filters at a time. Output
+//!   rows fed by rows below the density cutoff and `-0.0` seeds keep the
+//!   sparse scalar path.
 //! * [`fixed_engine::FixedPointEngine`] — the Q8.8 datapath model
 //!   mirroring the paper's 16-bit RTL, built on
 //!   `sparsetrain_tensor::qformat`. Other 16-bit grids resolve by name:

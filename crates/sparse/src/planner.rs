@@ -1,6 +1,6 @@
 //! Density-adaptive execution planning: one engine per (layer, stage).
 //!
-//! The registry's engines have *disjoint win regions* — the cache-blocked
+//! The registry's engines have *disjoint win regions* — the implicit-GEMM
 //! im2row lowering dominates dense forward legs, the simd engine wins
 //! mid-density gradient legs, and the sparse scalar kernels win once
 //! pruning pushes operand density toward 0.05 — yet a global engine name
@@ -124,9 +124,10 @@ pub(crate) fn candidates_for_threads(threads: usize) -> Vec<EngineHandle> {
         .collect()
 }
 
-/// Density above which the forward stage takes the cache-blocked im2row
-/// dense lowering (its internal per-row cutoff is 1/8; by 0.20 aggregate
-/// density the dense micro-kernel carries the call).
+/// Density above which the forward stage takes the im2row engine's
+/// implicit-GEMM lowering, at any stride, kernel size and pad (its
+/// internal per-row cutoff is 1/8; by 0.20 aggregate density the
+/// register-blocked micro-kernel carries the call).
 const IM2ROW_FORWARD_DENSITY: f64 = 0.20;
 
 /// Forward density below which activation rows are too sparse for the
@@ -608,7 +609,7 @@ mod tests {
 
     #[test]
     fn heuristic_matches_the_measured_win_regions() {
-        // Dense forward → the cache-blocked im2row lowering.
+        // Dense forward → the implicit-GEMM im2row lowering.
         assert_eq!(heuristic_name(Stage::Forward, 0.95, false), "im2row");
         assert_eq!(heuristic_name(Stage::Forward, 0.30, false), "im2row");
         // Mid-density forward and gradient legs → lane sweeps.

@@ -12,7 +12,7 @@
 //! | `parallel`        | [`crate::engine::ParallelEngine`] — band-parallel            |
 //! | `simd`            | [`crate::simd_engine::SimdEngine`] — AVX2/portable lanes     |
 //! | `parallel:simd`   | [`ParallelEngine::over`] — simd inside each rayon band       |
-//! | `im2row`          | [`crate::im2row_engine::Im2RowEngine`] — cache-blocked dense |
+//! | `im2row`          | [`crate::im2row_engine::Im2RowEngine`] — implicit-GEMM dense |
 //! | `parallel:im2row` | [`ParallelEngine::over`] — im2row inside each rayon band     |
 //! | `fixed`           | [`crate::fixed_engine::FixedPointEngine`] — Q8.8             |
 //! | `auto`            | [`crate::planner::AutoEngine`] — density-adaptive dispatch   |
@@ -185,7 +185,7 @@ fn table() -> &'static RwLock<Vec<EngineHandle>> {
             },
             EngineHandle {
                 name: "im2row",
-                summary: "cache-blocked im2row dense lowering for dense early layers, \
+                summary: "implicit-GEMM im2row dense forward at any stride, \
                           bitwise equal to scalar",
                 engine: &IM2ROW,
             },

@@ -5,11 +5,11 @@
 //!   `sparsetrain-tensor`;
 //! * the registry enumeration below automatically covers every registered
 //!   backend — including `simd` (runtime-dispatched AVX2/portable lanes),
-//!   `im2row` (cache-blocked dense lowering) and their `parallel:*` banded
+//!   `im2row` (implicit-GEMM dense lowering) and their `parallel:*` banded
 //!   compositions, which must match the scalar reference bitwise on every
 //!   leg;
 //! * one engine call prepares its [`BandContext`] (densified operands,
-//!   im2row patches) exactly once regardless of band count, and every band
+//!   the im2row staged input) exactly once regardless of band count, and every band
 //!   borrows the shared state;
 //! * for **every registered engine** (or just the `SPARSETRAIN_ENGINE`
 //!   override when set, as in the CI engine matrix), the batched entry
@@ -635,10 +635,10 @@ fn band_context_prepared_once_per_engine_call() {
     );
 }
 
-/// The im2row fallback legs through the registry handle: stride ≠ 1 (the
-/// lowering is stride-1 only), a literal -0.0 bias (only the scalar skips
-/// preserve its sign bit), and a map straddling the density cutoff (mixed
-/// micro-kernel/sparse output rows) all stay bitwise equal to scalar.
+/// The im2row legs through the registry handle: a map straddling the
+/// density cutoff (mixed micro-kernel/sparse output rows) at stride 1 and
+/// stride 2, and the literal -0.0 bias fallback (only the scalar skips
+/// preserve its sign bit), all stay bitwise equal to scalar.
 #[test]
 fn im2row_fallback_legs_match_scalar() {
     let engine = registry::lookup("im2row").expect("registered").engine();
