@@ -301,7 +301,7 @@ pub trait KernelEngine: Send + Sync {
         out_band: &mut [f32],
     ) {
         let _ = ctx;
-        scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
+        scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band, |_| true);
     }
 
     /// Computes the input-gradient rows of channels `c_lo..c_lo + n` into
@@ -539,7 +539,7 @@ pub trait KernelEngine: Send + Sync {
 // Shared shape validation
 // ---------------------------------------------------------------------------
 
-pub(crate) fn check_forward(
+fn check_forward(
     input: &SparseFeatureMap,
     weights: &Tensor4,
     bias: Option<&[f32]>,
@@ -595,7 +595,9 @@ pub(crate) fn check_weight_grad(
 // ---------------------------------------------------------------------------
 
 /// Computes the forward rows of filters `f_lo..f_lo + n` into `out_band`
-/// (`n` contiguous `Oh × Ow` filter planes).
+/// (`n` contiguous `Oh × Ow` filter planes). The bias fills every plane;
+/// only the output rows `oy` with `take(oy)` are then accumulated, so a
+/// backend can run the rest itself.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scalar_forward_band(
     input: &SparseFeatureMap,
@@ -606,6 +608,7 @@ pub(crate) fn scalar_forward_band(
     ow: usize,
     f_lo: usize,
     out_band: &mut [f32],
+    take: impl Fn(usize) -> bool,
 ) {
     let h = input.height() as isize;
     for (bf, plane) in out_band.chunks_mut(oh * ow).enumerate() {
@@ -614,6 +617,9 @@ pub(crate) fn scalar_forward_band(
             plane.fill(b[fi]);
         }
         for (oy, out_row) in plane.chunks_mut(ow).enumerate() {
+            if !take(oy) {
+                continue;
+            }
             for u in 0..geom.kernel {
                 let iy = (oy * geom.stride) as isize - geom.pad as isize + u as isize;
                 if iy < 0 || iy >= h {

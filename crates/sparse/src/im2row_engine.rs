@@ -47,11 +47,11 @@
 //! [`KernelEngine::prepare_forward`], above the band fan-out, and every
 //! band borrows them — under `"parallel:im2row"` the rayon bands share one
 //! staging. Each band packs its filters' weights into `TILE`-wide
-//! interleaved tiles; the batched entry point packs once for the whole
-//! batch and reuses one staging buffer across its samples. Inside a band
-//! the loop order is filter tile ⇒ position block: the packed tile
-//! (`C·K² × TILE` floats) stays cache-resident while the blocks of every
-//! dense output row stream past it.
+//! interleaved tiles (`F·C·K²` floats per sample, against the
+//! `Oh·Ow·F·C·K²` multiply-adds they feed). Inside a band the loop order
+//! is filter tile ⇒ position block: the packed tile (`C·K² × TILE`
+//! floats) stays cache-resident while the blocks of every dense output
+//! row stream past it.
 //!
 //! The **density cutoff** is the knob deciding when a row is worth the
 //! dense treatment: output row `oy` takes the micro-kernel only when every
@@ -75,12 +75,11 @@
 //! [`Im2RowEngine::portable`] pins the portable path.
 
 use crate::compressed::SparseRow;
-use crate::engine::{check_forward, scalar_forward_band, BandContext, KernelEngine};
+use crate::engine::{scalar_forward_band, BandContext, KernelEngine};
 use crate::rowconv::SparseFeatureMap;
-use crate::simd_engine::{avx2_available, contains_negative_zero};
-use crate::src::src_accumulate;
+use crate::simd_engine::{avx2_available, contains_negative_zero, densify_map, seeds_negative_zero};
 use sparsetrain_tensor::conv::ConvGeometry;
-use sparsetrain_tensor::{Tensor3, Tensor4};
+use sparsetrain_tensor::Tensor4;
 
 /// Filters reduced per micro-kernel invocation (one AVX2 register of
 /// accumulators per output position; the portable path uses the same
@@ -224,22 +223,6 @@ impl Columns {
 /// prepared by another engine is never misread.
 struct DenseRows(Vec<bool>);
 
-/// Stages `input` into `buf` as a zero-padded dense `(C, H + 2·pad,
-/// W + 2·pad)` map, reusing its allocation.
-fn stage_padded(input: &SparseFeatureMap, pad: usize, buf: &mut Vec<f32>) {
-    let (h, w) = (input.height(), input.width());
-    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-    buf.clear();
-    buf.resize(input.channels() * hp * wp, 0.0);
-    for (r, row) in input.rows().enumerate() {
-        let (ci, iy) = (r / h, r % h);
-        let dst = &mut buf[ci * hp * wp + (iy + pad) * wp + pad..][..w];
-        for (ix, val) in row.iter() {
-            dst[ix] = val;
-        }
-    }
-}
-
 /// Packs filters `f_lo..f_lo + n` into `TILE`-wide interleaved tiles:
 /// tile `t` holds filters `f_lo + t·TILE ..`, laid out
 /// `wt[idx · TILE + lane] = W[filter lane][idx]` with `idx` walking the
@@ -267,72 +250,32 @@ fn pack_weights(weights: &Tensor4, f_lo: usize, n: usize) -> Vec<f32> {
     wt
 }
 
-/// Whether the seed every output element starts from — the bias, or with
-/// none the pre-seeded accumulator — holds a literal `-0.0`, which only
-/// the scalar skips preserve.
-fn seeds_negative_zero(bias: Option<&[f32]>, out_band: &[f32]) -> bool {
-    match bias {
-        Some(b) => contains_negative_zero(b),
-        None => contains_negative_zero(out_band),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Band computation
 // ---------------------------------------------------------------------------
 
-/// The forward rows of filters `f_lo..f_lo + n` into `out_band` (`n`
-/// contiguous pre-seeded `oh × ow` planes). `padded` is the call's staged
-/// input (read only when some row is dense), `rows` the per-output-row
-/// classification and `packed` the band's weight tiles from
-/// [`pack_weights`]`(weights, f_lo, n)`.
+/// The output rows `oy` with `rows[oy]` of the `n` pre-seeded `oh × ow`
+/// filter planes in `out_band`, as the implicit GEMM: `padded` is the
+/// call's staged `(c, h, w)` input and `packed` the band's weight tiles
+/// from [`pack_weights`].
 #[allow(clippy::too_many_arguments)]
-fn forward_rows(
+fn gemm_rows(
     avx2: bool,
     padded: &[f32],
     rows: &[bool],
     packed: &[f32],
-    input: &SparseFeatureMap,
-    weights: &Tensor4,
-    bias: Option<&[f32]>,
+    (c, h, w): (usize, usize, usize),
     geom: ConvGeometry,
-    oh: usize,
     ow: usize,
-    f_lo: usize,
     out_band: &mut [f32],
 ) {
-    let plane = oh * ow;
+    let plane = rows.len() * ow;
     let n = out_band.len() / plane;
-    let (c, h, w) = (input.channels(), input.height(), input.width());
     let (k, stride, pad) = (geom.kernel, geom.stride, geom.pad);
-    // Bias fill for every plane of the band (the scalar prologue), then the
-    // output rows below the cutoff: the scalar row loops, per plane —
-    // work-proportional on sparse data, bitwise the reference.
-    for (bf, p) in out_band.chunks_mut(plane).enumerate() {
-        let fi = f_lo + bf;
-        if let Some(b) = bias {
-            p.fill(b[fi]);
-        }
-        for (oy, out_row) in p.chunks_mut(ow).enumerate() {
-            if rows[oy] {
-                continue;
-            }
-            for u in 0..k {
-                let iy = (oy * stride + u) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                for ci in 0..c {
-                    let krow = weights.kernel_row(fi, ci, u);
-                    src_accumulate(input.row(ci, iy as usize), krow, geom, out_row);
-                }
-            }
-        }
-    }
-    // Dense rows: every output position, blocked MR at a time across row
-    // ends; a short final block repeats the last position, whose repeats'
+    // Every position of those rows, blocked MR at a time across row ends;
+    // a short final block repeats the last position, whose repeats'
     // results are never stored.
-    let out_pos: Vec<usize> = (0..oh)
+    let out_pos: Vec<usize> = (0..rows.len())
         .filter(|&oy| rows[oy])
         .flat_map(|oy| oy * ow..(oy + 1) * ow)
         .collect();
@@ -505,9 +448,7 @@ impl KernelEngine for Im2RowEngine {
         };
         let mut ctx = BandContext::empty();
         if rows.contains(&true) {
-            let mut padded = Vec::new();
-            stage_padded(input, geom.pad, &mut padded);
-            ctx.set_dense(padded);
+            ctx.set_dense(densify_map(input, geom.pad, |_| true));
         }
         ctx.set_ext(DenseRows(rows));
         ctx
@@ -526,7 +467,7 @@ impl KernelEngine for Im2RowEngine {
         out_band: &mut [f32],
     ) {
         if seeds_negative_zero(bias, out_band) {
-            scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
+            scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band, |_| true);
             return;
         }
         // Borrow the staging the call prepared once above the band
@@ -541,56 +482,22 @@ impl KernelEngine for Im2RowEngine {
         let DenseRows(rows) = ctx
             .ext::<DenseRows>()
             .expect("im2row preparation attaches its rows");
-        let packed = if rows.contains(&true) {
-            pack_weights(weights, f_lo, out_band.len() / (oh * ow))
-        } else {
-            Vec::new()
-        };
-        forward_rows(
-            self.use_avx2(),
-            ctx.dense(),
-            rows,
-            &packed,
-            input,
-            weights,
-            bias,
-            geom,
-            oh,
-            ow,
-            f_lo,
-            out_band,
-        );
-    }
-
-    /// One weight packing for the whole batch and one staging buffer
-    /// reused by every sample; each sample's result is exactly
-    /// `forward_into`'s.
-    fn forward_batch_into(
-        &self,
-        inputs: &[SparseFeatureMap],
-        weights: &Tensor4,
-        bias: Option<&[f32]>,
-        geom: ConvGeometry,
-        outs: &mut [Tensor3],
-    ) {
-        assert_eq!(inputs.len(), outs.len(), "batch length mismatch");
-        let packed = pack_weights(weights, 0, weights.filters());
-        let mut padded = Vec::new();
-        let avx2 = self.use_avx2();
-        for (input, out) in inputs.iter().zip(outs.iter_mut()) {
-            check_forward(input, weights, bias, geom, out);
-            let (_, oh, ow) = out.shape();
-            let out = out.as_mut_slice();
-            if seeds_negative_zero(bias, out) {
-                scalar_forward_band(input, weights, bias, geom, oh, ow, 0, out);
-                continue;
-            }
-            let rows = self.dense_rows(input, geom, oh);
-            if rows.contains(&true) {
-                stage_padded(input, geom.pad, &mut padded);
-            }
-            forward_rows(
-                avx2, &padded, &rows, &packed, input, weights, bias, geom, oh, ow, 0, out,
+        // Bias fill for every plane, then the output rows below the
+        // cutoff through the scalar row loops themselves —
+        // work-proportional on sparse data, bitwise the reference.
+        scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band, |oy| !rows[oy]);
+        if rows.contains(&true) {
+            let packed = pack_weights(weights, f_lo, out_band.len() / (oh * ow));
+            let shape = (input.channels(), input.height(), input.width());
+            gemm_rows(
+                self.use_avx2(),
+                ctx.dense(),
+                rows,
+                &packed,
+                shape,
+                geom,
+                ow,
+                out_band,
             );
         }
     }
@@ -809,9 +716,9 @@ mod tests {
     }
 
     /// Asserts that `label`'s forward is bitwise the scalar reference on
-    /// every im2row path — portable and dispatched, direct, batched (one
-    /// packing for the batch) and under `parallel:im2row` at 1, 2, 3 and 8
-    /// bands — with and without bias.
+    /// every im2row path — portable and dispatched, direct, batched and
+    /// under `parallel:im2row` at 1, 2, 3 and 8 bands — with and without
+    /// bias.
     fn assert_all_paths_match_scalar(
         label: &str,
         input: &SparseFeatureMap,
@@ -912,9 +819,9 @@ mod tests {
     }
 
     /// The batched entry point keeps `forward_into`'s per-sample
-    /// semantics: samples of different densities share one packing and
-    /// one staging buffer, and a sample whose pre-seeded accumulator holds
-    /// a literal -0.0 takes the scalar code alone.
+    /// semantics: samples of different densities each get their own
+    /// classification and staging, and a sample whose pre-seeded
+    /// accumulator holds a literal -0.0 takes the scalar code alone.
     #[test]
     fn batched_forward_matches_per_sample_scalar() {
         let geom = ConvGeometry::new(3, 2, 1);

@@ -107,6 +107,17 @@ pub(crate) fn contains_negative_zero(values: &[f32]) -> bool {
     values.iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
 }
 
+/// Whether the seed every forward output element starts from — the bias,
+/// or with none the pre-seeded accumulator — holds a literal `-0.0`, which
+/// only the scalar skip of zero inputs preserves (shared with the im2row
+/// engine).
+pub(crate) fn seeds_negative_zero(bias: Option<&[f32]>, out_band: &[f32]) -> bool {
+    match bias {
+        Some(b) => contains_negative_zero(b),
+        None => contains_negative_zero(out_band),
+    }
+}
+
 /// Whether this process supports the AVX2+FMA fast path (shared with the
 /// im2row engine's dispatch).
 pub(crate) fn avx2_available() -> bool {
@@ -185,15 +196,22 @@ unsafe fn saxpy_avx2(dst: &mut [f32], src: &[f32], w: f32) {
 // Operand preparation
 // ---------------------------------------------------------------------------
 
-/// Writes the rows of `fm` selected by `select(nnz, len)` into a dense
-/// channel-major buffer (`channels × height × width`); unselected rows are
+/// Writes the rows of `fm` selected by `select` into a dense channel-major
+/// buffer zero-padded by `pad` on every side
+/// (`channels × (height + 2·pad) × (width + 2·pad)`); unselected rows are
 /// left zero (they are only read through the sparse fallback).
-pub(crate) fn densify_map(fm: &SparseFeatureMap, select: impl Fn(SparseRow<'_>) -> bool) -> Vec<f32> {
-    let w = fm.width();
-    let mut dense = vec![0.0f32; fm.channels() * fm.height() * w];
+pub(crate) fn densify_map(
+    fm: &SparseFeatureMap,
+    pad: usize,
+    select: impl Fn(SparseRow<'_>) -> bool,
+) -> Vec<f32> {
+    let (h, w) = (fm.height(), fm.width());
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let mut dense = vec![0.0f32; fm.channels() * hp * wp];
     for (r, row) in fm.rows().enumerate() {
         if select(row) {
-            let out = &mut dense[r * w..(r + 1) * w];
+            let (ci, iy) = (r / h, r % h);
+            let out = &mut dense[ci * hp * wp + (iy + pad) * wp + pad..][..w];
             for (ix, val) in row.iter() {
                 out[ix] = val;
             }
@@ -207,7 +225,7 @@ pub(crate) fn densify_map(fm: &SparseFeatureMap, select: impl Fn(SparseRow<'_>) 
 /// kernels and no buffer is needed).
 fn densify_worthy(fm: &SparseFeatureMap) -> Option<Vec<f32>> {
     let worthy = |row: SparseRow<'_>| dense_worthwhile(row.nnz(), row.len());
-    fm.rows().any(worthy).then(|| densify_map(fm, worthy))
+    fm.rows().any(worthy).then(|| densify_map(fm, 0, worthy))
 }
 
 /// The GTA weights of channels `c_lo..c_lo + n_c`, repacked to
@@ -287,7 +305,7 @@ struct GtwOperands {
 impl GtwOperands {
     fn of(input: &SparseFeatureMap, dout: &SparseFeatureMap) -> Self {
         Self {
-            input: densify_map(input, |_| true),
+            input: densify_map(input, 0, |_| true),
             dout: PositionMajor::of(dout),
         }
     }
@@ -536,13 +554,8 @@ impl KernelEngine for SimdEngine {
         // -0.0 in the bias (or, with no bias to overwrite it, in the
         // pre-seeded accumulator) is only preserved by the scalar skip of
         // zero inputs.
-        if geom.stride != 1
-            || match bias {
-                Some(b) => contains_negative_zero(b),
-                None => contains_negative_zero(out_band),
-            }
-        {
-            scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band);
+        if geom.stride != 1 || seeds_negative_zero(bias, out_band) {
+            scalar_forward_band(input, weights, bias, geom, oh, ow, f_lo, out_band, |_| true);
             return;
         }
         let avx2 = self.use_avx2();
